@@ -17,6 +17,16 @@ PROAUTH_THREADS=4 cargo test -q
 
 cargo clippy --workspace --all-targets -- -D warnings
 
+# The benchmark is a crate of its own (the workspace build never sees it)
+# that drives the stack through public APIs and checks what it measured:
+# a short run of all four workloads must come back `correct: true` with
+# `failed` = 0 (run.sh exits non-zero otherwise), and its own tests must
+# pass — so a change that breaks its imports or its correctness checks
+# (one `v_cert`, captured traffic passes VER-CERT, zero alerts, sockets ≡
+# engine bit for bit) fails here, not at the next measurement.
+bash benchmark/run.sh --smoke
+(cd benchmark && cargo test --offline -q)
+
 # Fixed-seed chaos smoke: the degradation ramp must demonstrate the (s,t)
 # boundary (sub-budget guarantees hold, over-budget degrades with alarms)
 # on both engines — the sweep is bit-deterministic across pool sizes.
@@ -27,9 +37,10 @@ PROAUTH_THREADS=4 cargo run -q --release -p proauth-examples --bin proauth -- ch
 # horizon and several seeds, with a hard bound on re-certification latency.
 cargo test -q -p proauth-tests --release --test chaos_soak -- --ignored
 
-# Envelope-budget regression at n = 32 (release: the legacy Θ(n³) ablation
-# inside is minutes-long in debug builds): evidence bundling must keep
-# refresh traffic O(n²·fanout) and beat the pre-bundle encoding ≥10×.
+# Envelope-budget regression at n = 32 (release: minutes-long in debug
+# builds): evidence bundling must keep refresh traffic O(n²·fanout) and beat
+# the pre-bundle encoding's envelope count (computed from the bundles on
+# the wire, not run) ≥10×.
 cargo test -q -p proauth-core --release --test envelope_budget -- --ignored
 
 # One full refresh unit at n = 64 (was infeasible pre-bundling); records

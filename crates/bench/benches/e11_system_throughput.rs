@@ -15,8 +15,7 @@
 //! 2. a criterion group (`e11/unit`) timing one refresh unit at small `n`
 //!    with `Throughput::Elements(rounds)`, so the report carries rounds/s;
 //! 3. a round-engine **ablation** at `n ∈ {13, 32}` (single timed runs —
-//!    a full n=32 unit is too slow to sample repeatedly), including a
-//!    `serial-nobundle` row with `bundle_evidence` off, printed as a table
+//!    a full n=32 unit is too slow to sample repeatedly), printed as a table
 //!    and appended to the `CRITERION_JSON` file when set.
 //!
 //! n = 64 used to be infeasible here: PARTIAL-AGREEMENT step 3 relayed every
@@ -24,9 +23,8 @@
 //! Θ(n³) envelopes per node per refresh, >10⁸ transient envelopes (tens of
 //! GB) for one n = 64 unit. Evidence bundling (`Blob::EvidenceBundle`: one
 //! DISPERSE send per destination per subject) cuts that to Θ(n²), and the
-//! shared-payload outbox makes each remaining envelope a handle, not a copy;
-//! the `serial-nobundle` ablation row measures exactly what the bundling is
-//! worth. Set `PROAUTH_E11=n64` to run only the n = 64 part (CI does).
+//! shared-payload outbox makes each remaining envelope a handle, not a copy.
+//! Set `PROAUTH_E11=n64` to run only the n = 64 part (CI does).
 //!
 //! Run `CRITERION_JSON=BENCH_e11.json cargo bench --bench
 //! e11_system_throughput` to regenerate the recorded baseline.
@@ -82,19 +80,16 @@ fn run_one(
     mode: AuthMode,
     engine: Engine,
     units: u64,
-    bundle: bool,
 ) -> (SimStats, u64, Duration) {
-    run_one_tele(n, t, mode, engine, units, bundle, false)
+    run_one_tele(n, t, mode, engine, units, false)
 }
 
-#[allow(clippy::too_many_arguments)]
 fn run_one_tele(
     n: usize,
     t: usize,
     mode: AuthMode,
     engine: Engine,
     units: u64,
-    bundle: bool,
     telemetry: bool,
 ) -> (SimStats, u64, Duration) {
     let mut cfg = sim_cfg(n, t, units, engine);
@@ -112,7 +107,6 @@ fn run_one_tele(
         |id| {
             let mut c = UlsConfig::new(group.clone(), n, t);
             c.auth_mode = mode;
-            c.bundle_evidence = bundle;
             // Large networks use the §6 relaxation so DISPERSE volume stays
             // O(n·t) instead of O(n²).
             if n >= 32 {
@@ -138,7 +132,7 @@ fn peak_rss_bytes() -> Option<u64> {
 /// reflects this run, not an earlier allocation peak.
 fn refresh_n64() {
     let (n, t) = (64usize, 3usize);
-    let (stats, total_rounds, elapsed) = run_one(n, t, AuthMode::SessionMac, Engine::Serial, 1, true);
+    let (stats, total_rounds, elapsed) = run_one(n, t, AuthMode::SessionMac, Engine::Serial, 1);
     let tp = ThroughputSummary::from_run(&stats, total_rounds, elapsed);
     let rss = peak_rss_bytes().unwrap_or(0);
     print_table(
@@ -179,41 +173,38 @@ fn bench_units(c: &mut Criterion) {
         group.throughput(Throughput::Elements(rounds));
         for (mode, label) in [(AuthMode::Sign, "sign"), (AuthMode::SessionMac, "mac")] {
             group.bench_function(format!("n{n}/{label}"), |b| {
-                b.iter(|| run_one(n, t, mode, Engine::Serial, 2, true));
+                b.iter(|| run_one(n, t, mode, Engine::Serial, 2));
             });
         }
     }
     group.finish();
 }
 
-/// Part 2: round-engine, evidence-bundling, and telemetry ablation, one
-/// timed run per row. The `serial-nobundle` row restores the pre-bundle
-/// per-member Evidence relays (Θ(n³) envelopes per refresh); the
+/// Part 2: round-engine and telemetry ablation, one timed run per row. The
 /// `serial-tele` row runs the identical serial config with the flight
 /// recorder on (memory sink), measuring the full instrumentation cost —
 /// the gap to `serial` is what `PROAUTH_TRACE` costs, and the gap between
 /// `serial` and the recorded baseline is what the disabled-path branch
 /// checks cost (budget: ≤ 2%).
 fn ablation() {
-    let configs: [(Engine, bool, bool); 6] = [
-        (Engine::Serial, true, false),
-        (Engine::Serial, true, true),
-        (Engine::Serial, false, false),
-        (Engine::Pool(1), true, false),
-        (Engine::Pool(2), true, false),
-        (Engine::Pool(8), true, false),
+    let configs: [(Engine, bool); 5] = [
+        (Engine::Serial, false),
+        (Engine::Serial, true),
+        (Engine::Pool(1), false),
+        (Engine::Pool(2), false),
+        (Engine::Pool(8), false),
     ];
     let mut rows = Vec::new();
     let mut json_lines = Vec::new();
     for (n, t) in [(13usize, 6usize), (32, 3)] {
-        for (engine, bundle, telemetry) in configs {
-            let label = match (bundle, telemetry) {
-                (true, false) => engine.label(),
-                (true, true) => format!("{}-tele", engine.label()),
-                (false, _) => format!("{}-nobundle", engine.label()),
+        for (engine, telemetry) in configs {
+            let label = if telemetry {
+                format!("{}-tele", engine.label())
+            } else {
+                engine.label()
             };
             let (stats, total_rounds, elapsed) =
-                run_one_tele(n, t, AuthMode::SessionMac, engine, 2, bundle, telemetry);
+                run_one_tele(n, t, AuthMode::SessionMac, engine, 2, telemetry);
             let tp = ThroughputSummary::from_run(&stats, total_rounds, elapsed);
             rows.push(vec![
                 n.to_string(),
@@ -236,7 +227,7 @@ fn ablation() {
         }
     }
     print_table(
-        "E11 — engine + bundling + telemetry ablation (2 units, session-MAC, toy group)",
+        "E11 — engine + telemetry ablation (2 units, session-MAC, toy group)",
         &["n", "t", "engine", "messages", "rounds/s", "msgs/s", "KiB/s"],
         &rows,
     );
@@ -248,12 +239,10 @@ fn ablation() {
         }
     }
     println!(
-        "\nExpected shape: the nobundle row restores the pre-bundle Θ(n³)\n\
-         evidence relays and should trail the bundled serial row by a widening\n\
-         factor as n grows (≈ the PA majority size on evidence rounds). The pool\n\
-         engines approach the serial engine at 1 worker (handshake overhead only)\n\
-         and win once cores × per-round crypto outweigh scheduling. On a\n\
-         single-core host all engines tie — record the core count with the run."
+        "\nExpected shape: the pool engines approach the serial engine at 1 worker\n\
+         (handshake overhead only) and win once cores × per-round crypto outweigh\n\
+         scheduling. On a single-core host all engines tie — record the core\n\
+         count with the run."
     );
 }
 

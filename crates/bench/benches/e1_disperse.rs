@@ -11,8 +11,6 @@
 use proauth_adversary::LinkCutter;
 use proauth_bench::{pct, print_table};
 use proauth_core::disperse::{DisperseLayer, DisperseMode};
-use proauth_core::wire::UlsWire;
-use proauth_primitives::wire::Decode;
 use proauth_sim::clock::Schedule;
 use proauth_sim::message::{NodeId, OutputEvent};
 use proauth_sim::process::{Process, RoundCtx, SetupCtx};
@@ -40,14 +38,9 @@ impl Process for Probe {
     fn on_setup_round(&mut self, _ctx: &mut SetupCtx<'_>) {}
 
     fn on_round(&mut self, ctx: &mut RoundCtx<'_>) {
-        let mut delivered = self.layer.begin_round();
-        for env in ctx.inbox {
-            if let Ok(UlsWire::Disperse(d)) = UlsWire::from_bytes(&env.payload) {
-                if let Some(item) = self.layer.on_message(env.from, d) {
-                    delivered.push(item);
-                }
-            }
-        }
+        let delivered = self
+            .layer
+            .receive(ctx.inbox.iter().map(|env| &env.payload[..]));
         if self.me == NodeId(2) {
             for (origin, blob) in delivered {
                 if origin == 1 {

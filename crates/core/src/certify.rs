@@ -13,7 +13,6 @@ use crate::wire::{CertifiedMsg, MacMsg};
 use proauth_crypto::group::Group;
 use proauth_crypto::schnorr::{Signature, SigningKey, VerifyKey};
 use proauth_pds::als::AlsPds;
-use proauth_pds::msg::signing_payload;
 use proauth_pds::statement::key_statement;
 use proauth_primitives::bigint::BigUint;
 use proauth_primitives::hmac::{hmac_sha256, tags_equal};
@@ -112,7 +111,7 @@ pub fn mac_certify(
 
 /// MAC-mode VER-CERT, format-and-tag part: checks the field bindings and the
 /// HMAC. Certificate validation (once per sender per unit) is the caller's
-/// job via [`ver_mac_certificate`].
+/// job via [`ver_certificate`].
 pub fn ver_mac(
     me: NodeId,
     from: NodeId,
@@ -126,22 +125,6 @@ pub fn ver_mac(
     }
     let tuple = message_tuple(&msg.m, msg.i, msg.j, msg.u, msg.w);
     tags_equal(&msg.tag, &hmac_sha256(key, &tuple))
-}
-
-/// Validates the certificate a [`MacMsg`] carries and returns the sender's
-/// verification-key element for pinning.
-pub fn ver_mac_certificate(
-    group: &Group,
-    from: NodeId,
-    msg: &MacMsg,
-    v_cert: &BigUint,
-) -> Option<BigUint> {
-    let statement = key_statement(from, msg.u, &msg.vk);
-    if !AlsPds::verify(group, v_cert, &statement, msg.u, &msg.cert) {
-        return None;
-    }
-    let vk = BigUint::from_bytes_be(&msg.vk);
-    group.contains(&vk).then_some(vk)
 }
 
 /// The canonical bytes signed by the local key: `⟨m, i, j, u, w⟩`.
@@ -211,43 +194,13 @@ pub fn ver_cert(
     msg: &CertifiedMsg,
     v_cert: &BigUint,
 ) -> bool {
-    // Step 1: format.
-    if !ver_cert_format(dest, from, expected_unit, expected_w, msg) {
-        return false;
-    }
-    // Step 2: certificate.
-    let statement = key_statement(from, msg.u, &msg.vk);
-    if !AlsPds::verify(group, v_cert, &statement, msg.u, &msg.cert) {
-        return false;
-    }
-    // Step 3: message signature.
-    ver_cert_signature(group, msg)
-}
-
-/// VER-CERT steps 1 and 3 only (format + message signature), for callers
-/// that have already validated the certificate (step 2) as part of a batch
-/// under `v_cert` — see [`cert_payload`].
-pub fn ver_cert_precertified(
-    group: &Group,
-    dest: DestCheck,
-    from: NodeId,
-    expected_unit: u64,
-    expected_w: u64,
-    msg: &CertifiedMsg,
-) -> bool {
-    ver_cert_format(dest, from, expected_unit, expected_w, msg) && ver_cert_signature(group, msg)
-}
-
-/// The bytes the PDS signed for a node's per-unit key certificate. Every
-/// certificate in the system verifies under the one ROM-resident `v_cert`,
-/// so a receiver holding many certified messages can check all their
-/// certificates in one [`proauth_crypto::schnorr::batch_verify`] call.
-pub fn cert_payload(from: NodeId, unit: u64, vk: &[u8]) -> Vec<u8> {
-    signing_payload(&key_statement(from, unit, vk), unit)
+    ver_cert_format(dest, from, expected_unit, expected_w, msg)
+        && ver_certificate(group, from, msg.u, &msg.vk, &msg.cert, v_cert)
+            .is_some_and(|key| ver_cert_signature(&key, msg))
 }
 
 /// VER-CERT step 1: field bindings.
-fn ver_cert_format(
+pub(crate) fn ver_cert_format(
     dest: DestCheck,
     from: NodeId,
     expected_unit: u64,
@@ -263,13 +216,30 @@ fn ver_cert_format(
     }
 }
 
-/// VER-CERT step 3: the message signature under the attached local key.
-fn ver_cert_signature(group: &Group, msg: &CertifiedMsg) -> bool {
-    let Some(vk) = VerifyKey::from_element(group, BigUint::from_bytes_be(&msg.vk)) else {
-        return false;
-    };
+/// VER-CERT step 2: checks the PDS certificate `cert` for "the public key of
+/// `node` in time unit `unit` is `vk`" against the ROM key `v_cert`, and `vk`
+/// for group membership. Returns the validated key. The result is a function
+/// of exactly these bytes, which is what lets a receiver remember it (the
+/// pin table of [`crate::uls::UlsNode`]) instead of repeating it per message.
+pub fn ver_certificate(
+    group: &Group,
+    node: NodeId,
+    unit: u64,
+    vk: &[u8],
+    cert: &Signature,
+    v_cert: &BigUint,
+) -> Option<VerifyKey> {
+    let statement = key_statement(node, unit, vk);
+    if !AlsPds::verify(group, v_cert, &statement, unit, cert) {
+        return None;
+    }
+    VerifyKey::from_element(group, BigUint::from_bytes_be(vk))
+}
+
+/// VER-CERT step 3: the message signature under the sender's certified key.
+pub(crate) fn ver_cert_signature(key: &VerifyKey, msg: &CertifiedMsg) -> bool {
     let tuple = message_tuple(&msg.m, msg.i, msg.j, msg.u, msg.w);
-    telemetry::timed("crypto/verify_ns", || vk.verify(&tuple, &msg.sig))
+    telemetry::timed("crypto/verify_ns", || key.verify(&tuple, &msg.sig))
 }
 
 #[cfg(test)]
@@ -450,14 +420,15 @@ mod tests {
         let mut tampered = msg.clone();
         tampered.m = b"other".to_vec();
         assert!(!ver_mac(NodeId(2), NodeId(1), 3, 40, &tampered, &key));
-        // Certificate validation pins the right key element.
-        let pinned = ver_mac_certificate(&ca.group, NodeId(1), &msg, &ca.v_cert()).unwrap();
-        assert_eq!(&pinned, keys.signing.verify_key().element());
+        // Certificate validation yields the right key.
+        let certified =
+            |m: &MacMsg| ver_certificate(&ca.group, NodeId(1), m.u, &m.vk, &m.cert, &ca.v_cert());
+        assert_eq!(certified(&msg).as_ref(), Some(keys.signing.verify_key()));
         // A rogue certificate fails.
         let rogue = TestCa::new(55);
         let mut bad = msg.clone();
         bad.cert = rogue.issue(NodeId(1), 3, &bad.vk, &mut rng);
-        assert!(ver_mac_certificate(&ca.group, NodeId(1), &bad, &ca.v_cert()).is_none());
+        assert!(certified(&bad).is_none());
     }
 
     #[test]

@@ -16,14 +16,20 @@
 //! common-neighbor argument.
 //!
 //! Blobs are [`InternedBlob`]s: one allocation shared across the whole
-//! fan-out, relay duty, and dedup, with a content digest computed at most
-//! once per blob. Outgoing traffic is queued as multi-destination
+//! fan-out. Outgoing traffic is queued as multi-destination
 //! [`OutboxEntry`]s — a fan-out is one entry, not `n−1` envelopes.
+//!
+//! The echo is redundant on purpose — the destination receives one copy of
+//! a blob per 2-path — so the receive side ([`DisperseLayer::receive`])
+//! reads every envelope in place ([`DisperseView`]) and compares copies as
+//! bytes: only the first copy of an `(origin, body)` pair is allocated, the
+//! rest cost a hash lookup and a `memcmp`.
 
-use crate::wire::{DisperseMsg, UlsWire};
+use crate::wire::DisperseView;
 use proauth_primitives::wire::InternedBlob;
 use proauth_sim::message::{NodeId, OutboxEntry};
 use proauth_telemetry as telemetry;
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 
 /// Fan-out policy (§6).
@@ -40,14 +46,26 @@ pub enum DisperseMode {
 }
 
 /// A blob awaiting local delivery: a direct `Forward` addressed to me
-/// (released at the next `begin_round`) or a self-send (held one extra
-/// round so it keeps the same +2 schedule as a network send).
+/// (released by the next [`DisperseLayer::receive`]) or a self-send (held one
+/// extra round so it keeps the same +2 schedule as a network send).
 #[derive(Debug)]
 struct SelfBuffered {
     origin: u32,
     blob: InternedBlob,
-    /// `begin_round` calls to skip before release.
+    /// `receive` calls to skip before release.
     delay: u8,
+}
+
+/// Records `(origin, body)` as delivered this round; `false` for a repeat.
+fn first_copy<'b>(seen: &mut HashSet<(u32, &'b [u8])>, origin: u32, body: &'b [u8]) -> bool {
+    let first = seen.insert((origin, body));
+    let counter = if first {
+        "disperse/delivered"
+    } else {
+        "disperse/dedup_suppressed"
+    };
+    telemetry::count(counter, 1);
+    first
 }
 
 /// Per-node DISPERSE machinery.
@@ -56,15 +74,8 @@ pub struct DisperseLayer {
     me: NodeId,
     n: usize,
     mode: DisperseMode,
-    /// (origin, blob digest) pairs delivered to me this round.
-    seen_this_round: HashSet<(u32, [u8; 32])>,
     /// Blobs awaiting local delivery (see [`SelfBuffered`]).
     self_buffer: Vec<SelfBuffered>,
-    /// Relay duty built this round: (origin, blob digest) → index into
-    /// `outgoing`. Repeated `Forward`s of the same blob only append a
-    /// destination to the existing entry instead of re-encoding the
-    /// `Forwarding` payload.
-    relay_built: HashMap<(u32, [u8; 32]), usize>,
     /// Entries queued for sending at the end of this round.
     outgoing: Vec<OutboxEntry>,
 }
@@ -76,9 +87,7 @@ impl DisperseLayer {
             me,
             n,
             mode,
-            seen_this_round: HashSet::new(),
             self_buffer: Vec::new(),
-            relay_built: HashMap::new(),
             outgoing: Vec::new(),
         }
     }
@@ -116,11 +125,11 @@ impl DisperseLayer {
         // The Forward is identical for every relay (it names only origin,
         // dst, and blob) — one encoding, one outbox entry for the whole
         // fan-out.
-        let wire = UlsWire::Disperse(DisperseMsg::Forward {
+        let wire = DisperseView::Forward {
             origin: self.me.0,
             dst: dst.0,
-            blob,
-        });
+            body: &blob,
+        };
         self.outgoing.push(OutboxEntry {
             from: self.me,
             to: targets,
@@ -128,89 +137,78 @@ impl DisperseLayer {
         });
     }
 
-    /// Processes one incoming DISPERSE message; returns a blob delivered to
-    /// me, if any.
+    /// Processes one round's physical inbox (call once per round, before
+    /// sending): releases the buffered direct copies and self-sends that are
+    /// due, takes up relay duty for every `Forward` addressed elsewhere, and
+    /// returns the blobs delivered to me as `(claimed origin, blob)` — the
+    /// direct copies first, then `Forwarding`s in inbox order, each
+    /// `(origin, body)` pair once per round. Payloads that are not DISPERSE
+    /// messages are skipped; authenticity is the upper layers' business.
     ///
-    /// `carrier` is the node the physical envelope claims to come from (used
-    /// only for routing `Forwarding`s; authenticity is the upper layers'
-    /// business).
-    pub fn on_message(
+    /// Copies are recognised by content: the dedup and relay indexes key on
+    /// the body bytes where they lie in the inbox, and die with the call.
+    pub fn receive<'a>(
         &mut self,
-        carrier: NodeId,
-        msg: DisperseMsg,
-    ) -> Option<(u32, InternedBlob)> {
-        let _ = carrier;
-        match msg {
-            DisperseMsg::Forward { origin, dst, blob } => {
-                if dst == self.me.0 {
-                    // Direct copy: buffer a round (self-forwarding).
-                    self.self_buffer.push(SelfBuffered {
-                        origin,
-                        blob,
-                        delay: 0,
-                    });
-                } else if dst >= 1 && dst <= self.n as u32 {
-                    // Relay duty. The Forwarding payload depends only on
-                    // (origin, blob): encode it once per round and extend
-                    // the existing entry's destination list on repeats.
-                    telemetry::count("disperse/relays", 1);
-                    let key = (origin, *blob.digest());
-                    match self.relay_built.get(&key) {
-                        Some(&i) => self.outgoing[i].to.push(NodeId(dst)),
-                        None => {
-                            let wire =
-                                UlsWire::Disperse(DisperseMsg::Forwarding { origin, blob });
-                            let i = self.outgoing.len();
-                            self.outgoing.push(OutboxEntry {
-                                from: self.me,
-                                to: vec![NodeId(dst)],
-                                payload: wire.to_payload(),
-                            });
-                            self.relay_built.insert(key, i);
-                        }
-                    }
-                }
-                None
-            }
-            DisperseMsg::Forwarding { origin, blob } => self.deliver(origin, blob),
-        }
-    }
-
-    fn deliver(&mut self, origin: u32, blob: InternedBlob) -> Option<(u32, InternedBlob)> {
-        if self.seen_this_round.insert((origin, *blob.digest())) {
-            telemetry::count("disperse/delivered", 1);
-            Some((origin, blob))
-        } else {
-            telemetry::count("disperse/dedup_suppressed", 1);
-            None
-        }
-    }
-
-    /// Called once at the start of each round, *before* processing the
-    /// round's inbox: clears the per-round dedup set and releases buffered
-    /// self-forwards whose delay has elapsed. Returns the blobs delivered
-    /// via the direct path.
-    pub fn begin_round(&mut self) -> Vec<(u32, InternedBlob)> {
-        self.seen_this_round.clear();
-        let buffered = std::mem::take(&mut self.self_buffer);
-        let mut released = Vec::new();
-        for mut item in buffered {
+        inbox: impl IntoIterator<Item = &'a [u8]>,
+    ) -> Vec<(u32, InternedBlob)> {
+        let mut due = Vec::new();
+        for mut item in std::mem::take(&mut self.self_buffer) {
             if item.delay == 0 {
-                if let Some(d) = self.deliver(item.origin, item.blob) {
-                    released.push(d);
-                }
+                due.push(item);
             } else {
                 item.delay -= 1;
                 self.self_buffer.push(item);
             }
         }
-        released
+        let mut seen: HashSet<(u32, &[u8])> = HashSet::new();
+        let mut delivered = Vec::new();
+        for item in &due {
+            if first_copy(&mut seen, item.origin, &item.blob) {
+                delivered.push((item.origin, item.blob.clone()));
+            }
+        }
+        // Relay duty built this round: (origin, body) → index into
+        // `outgoing`. The Forwarding payload depends only on that pair:
+        // encode it once and extend the entry's destination list on repeats.
+        let mut relay_built: HashMap<(u32, &[u8]), usize> = HashMap::new();
+        for payload in inbox {
+            match DisperseView::parse(payload) {
+                Some(DisperseView::Forward { origin, dst, body }) => {
+                    if dst == self.me.0 {
+                        // Direct copy: buffer a round (self-forwarding).
+                        self.self_buffer.push(SelfBuffered {
+                            origin,
+                            blob: body.into(),
+                            delay: 0,
+                        });
+                    } else if (1..=self.n as u32).contains(&dst) {
+                        telemetry::count("disperse/relays", 1);
+                        match relay_built.entry((origin, body)) {
+                            Entry::Occupied(e) => self.outgoing[*e.get()].to.push(NodeId(dst)),
+                            Entry::Vacant(e) => {
+                                e.insert(self.outgoing.len());
+                                self.outgoing.push(OutboxEntry {
+                                    from: self.me,
+                                    to: vec![NodeId(dst)],
+                                    payload: DisperseView::Forwarding { origin, body }.to_payload(),
+                                });
+                            }
+                        }
+                    }
+                }
+                Some(DisperseView::Forwarding { origin, body })
+                    if first_copy(&mut seen, origin, body) =>
+                {
+                    delivered.push((origin, body.into()));
+                }
+                _ => {}
+            }
+        }
+        delivered
     }
 
     /// Drains the entries queued this round (to go into the node's outbox).
     pub fn drain_outgoing(&mut self) -> Vec<OutboxEntry> {
-        // The relay cache holds indices into `outgoing`; they die with it.
-        self.relay_built.clear();
         std::mem::take(&mut self.outgoing)
     }
 }
@@ -218,7 +216,9 @@ impl DisperseLayer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::{DisperseMsg, UlsWire};
     use proauth_primitives::wire::Decode;
+    use proauth_sim::message::Payload;
 
     fn decode(entry: &OutboxEntry) -> DisperseMsg {
         match UlsWire::from_bytes(&entry.payload).unwrap() {
@@ -231,6 +231,19 @@ mod tests {
         InternedBlob::from(bytes)
     }
 
+    fn forward(origin: u32, dst: u32, body: &[u8]) -> Payload {
+        DisperseView::Forward { origin, dst, body }.to_payload()
+    }
+
+    fn forwarding(origin: u32, body: &[u8]) -> Payload {
+        DisperseView::Forwarding { origin, body }.to_payload()
+    }
+
+    /// One round's `receive` over the given physical payloads.
+    fn receive(layer: &mut DisperseLayer, inbox: &[Payload]) -> Vec<(u32, InternedBlob)> {
+        layer.receive(inbox.iter().map(|p| &p[..]))
+    }
+
     #[test]
     fn send_fans_out_to_everyone() {
         let mut layer = DisperseLayer::new(NodeId(1), 5, DisperseMode::Full);
@@ -239,14 +252,14 @@ mod tests {
         // One entry; everyone but me as destinations.
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].fanout(), 4);
-        assert!(matches!(
+        assert_eq!(
             decode(&out[0]),
             DisperseMsg::Forward {
                 origin: 1,
                 dst: 3,
-                ..
+                blob: blob(&[42]),
             }
-        ));
+        );
     }
 
     #[test]
@@ -263,62 +276,41 @@ mod tests {
     #[test]
     fn relay_produces_forwarding() {
         let mut layer = DisperseLayer::new(NodeId(2), 5, DisperseMode::Full);
-        let delivered = layer.on_message(
-            NodeId(1),
-            DisperseMsg::Forward {
-                origin: 1,
-                dst: 3,
-                blob: blob(&[7]),
-            },
-        );
-        assert!(delivered.is_none());
+        let delivered = receive(&mut layer, &[forward(1, 3, &[7])]);
+        assert!(delivered.is_empty());
         let out = layer.drain_outgoing();
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].to, vec![NodeId(3)]);
-        assert!(matches!(
+        assert_eq!(
             decode(&out[0]),
-            DisperseMsg::Forwarding { origin: 1, .. }
-        ));
+            DisperseMsg::Forwarding {
+                origin: 1,
+                blob: blob(&[7]),
+            }
+        );
     }
 
     #[test]
     fn relay_encodes_identical_forwarding_once() {
         // Two Forwards of the same (origin, blob) to different destinations:
-        // one Forwarding payload, two destinations on one entry.
+        // one Forwarding payload, two destinations on one entry. A different
+        // blob from the same origin is a separate entry.
         let mut layer = DisperseLayer::new(NodeId(2), 5, DisperseMode::Full);
-        for dst in [3u32, 4] {
-            layer.on_message(
-                NodeId(1),
-                DisperseMsg::Forward {
-                    origin: 1,
-                    dst,
-                    blob: blob(&[7]),
-                },
-            );
-        }
-        // A different blob from the same origin is a separate entry.
-        layer.on_message(
-            NodeId(1),
-            DisperseMsg::Forward {
-                origin: 1,
-                dst: 3,
-                blob: blob(&[8]),
-            },
+        receive(
+            &mut layer,
+            &[
+                forward(1, 3, &[7]),
+                forward(1, 4, &[7]),
+                forward(1, 3, &[8]),
+            ],
         );
         let out = layer.drain_outgoing();
         assert_eq!(out.len(), 2);
         assert_eq!(out[0].to, vec![NodeId(3), NodeId(4)]);
         assert_eq!(out[1].to, vec![NodeId(3)]);
-        // The cache dies with the round: the same Forward next round builds
+        // The index dies with the round: the same Forward next round builds
         // a fresh entry rather than indexing into the drained buffer.
-        layer.on_message(
-            NodeId(1),
-            DisperseMsg::Forward {
-                origin: 1,
-                dst: 4,
-                blob: blob(&[7]),
-            },
-        );
+        receive(&mut layer, &[forward(1, 4, &[7])]);
         let out = layer.drain_outgoing();
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].to, vec![NodeId(4)]);
@@ -327,56 +319,33 @@ mod tests {
     #[test]
     fn forwarding_delivers_once_per_round() {
         let mut layer = DisperseLayer::new(NodeId(3), 5, DisperseMode::Full);
-        layer.begin_round();
-        let d1 = layer.on_message(
-            NodeId(2),
-            DisperseMsg::Forwarding {
-                origin: 1,
-                blob: blob(&[7]),
-            },
-        );
-        let d2 = layer.on_message(
-            NodeId(4),
-            DisperseMsg::Forwarding {
-                origin: 1,
-                blob: blob(&[7]),
-            },
-        );
-        assert_eq!(d1, Some((1, blob(&[7]))));
-        assert_eq!(d2, None, "duplicate suppressed");
-        // A different origin claim is a distinct delivery.
-        let d3 = layer.on_message(
-            NodeId(4),
-            DisperseMsg::Forwarding {
-                origin: 2,
-                blob: blob(&[7]),
-            },
-        );
-        assert_eq!(d3, Some((2, blob(&[7]))));
+        // Two carriers, one blob: the duplicate is suppressed. A different
+        // origin claim is a distinct delivery.
+        let inbox = [
+            forwarding(1, &[7]),
+            forwarding(1, &[7]),
+            forwarding(2, &[7]),
+        ];
+        let delivered = receive(&mut layer, &inbox);
+        assert_eq!(delivered, vec![(1, blob(&[7])), (2, blob(&[7]))]);
+        // Dedup is per round: the same blob next round delivers again.
+        assert_eq!(receive(&mut layer, &inbox[..1]), vec![(1, blob(&[7]))]);
     }
 
     #[test]
     fn direct_forward_buffered_one_round() {
         let mut layer = DisperseLayer::new(NodeId(3), 5, DisperseMode::Full);
-        layer.begin_round();
-        let direct = layer.on_message(
-            NodeId(1),
-            DisperseMsg::Forward {
-                origin: 1,
-                dst: 3,
-                blob: blob(&[9]),
-            },
-        );
-        assert!(direct.is_none(), "not delivered in the arrival round");
-        let released = layer.begin_round();
+        let direct = receive(&mut layer, &[forward(1, 3, &[9])]);
+        assert!(direct.is_empty(), "not delivered in the arrival round");
+        let released = receive(&mut layer, &[]);
         assert_eq!(released, vec![(1, blob(&[9]))]);
     }
 
     #[test]
     fn self_send_delivered_after_two_rounds() {
         // `send(me, ...)` must not be silently dropped: it is buffered
-        // locally and delivered exactly two begin_rounds later — the same
-        // +2 schedule as a network send.
+        // locally and delivered exactly two rounds later — the same +2
+        // schedule as a network send.
         let mut layer = DisperseLayer::new(NodeId(2), 5, DisperseMode::Full);
         layer.send(NodeId(2), blob(&[5]));
         assert!(
@@ -384,52 +353,47 @@ mod tests {
             "self-send produces no network traffic"
         );
         assert!(
-            layer.begin_round().is_empty(),
+            receive(&mut layer, &[]).is_empty(),
             "not delivered after one round"
         );
-        let released = layer.begin_round();
+        let released = receive(&mut layer, &[]);
         assert_eq!(released, vec![(2, blob(&[5]))]);
         // Nothing left buffered.
-        assert!(layer.begin_round().is_empty());
+        assert!(receive(&mut layer, &[]).is_empty());
     }
 
     #[test]
     fn direct_and_relayed_copies_dedup() {
         let mut layer = DisperseLayer::new(NodeId(3), 5, DisperseMode::Full);
-        layer.begin_round();
-        layer.on_message(
-            NodeId(1),
-            DisperseMsg::Forward {
-                origin: 1,
-                dst: 3,
-                blob: blob(&[9]),
-            },
-        );
-        // Next round: buffered direct copy delivers first...
-        let released = layer.begin_round();
-        assert_eq!(released.len(), 1);
-        // ...and the relayed copy of the same blob is suppressed.
-        let relayed = layer.on_message(
-            NodeId(2),
-            DisperseMsg::Forwarding {
-                origin: 1,
-                blob: blob(&[9]),
-            },
-        );
-        assert!(relayed.is_none());
+        receive(&mut layer, &[forward(1, 3, &[9])]);
+        // Next round the buffered direct copy delivers first, and the
+        // relayed copy of the same blob is suppressed.
+        let delivered = receive(&mut layer, &[forwarding(1, &[9])]);
+        assert_eq!(delivered, vec![(1, blob(&[9]))]);
     }
 
     #[test]
     fn out_of_range_dst_ignored() {
         let mut layer = DisperseLayer::new(NodeId(2), 5, DisperseMode::Full);
-        layer.on_message(
-            NodeId(1),
-            DisperseMsg::Forward {
-                origin: 1,
-                dst: 77,
-                blob: blob(&[1]),
-            },
-        );
+        receive(&mut layer, &[forward(1, 77, &[1]), forward(1, 0, &[1])]);
+        assert!(layer.drain_outgoing().is_empty());
+    }
+
+    #[test]
+    fn non_disperse_payloads_skipped() {
+        let mut layer = DisperseLayer::new(NodeId(2), 5, DisperseMode::Full);
+        let mut trailing = forwarding(1, &[7]).to_vec();
+        trailing.push(0);
+        let announce = UlsWire::KeyAnnounce {
+            unit: 1,
+            vk: vec![1],
+        };
+        let inbox = [
+            announce.to_payload(),
+            trailing.into(),
+            Payload::from(vec![]),
+        ];
+        assert!(receive(&mut layer, &inbox).is_empty());
         assert!(layer.drain_outgoing().is_empty());
     }
 }

@@ -8,8 +8,10 @@
 //! authenticated:
 //!
 //! * step 1 values arrive through AUTH-SEND (strict VER-CERT);
-//! * step 3 relays arrive as [`crate::wire::Blob::Evidence`] and are
-//!   verified with the relaxed destination check before being fed here.
+//! * step 3 relays arrive as [`crate::wire::Blob::EvidenceBundle`]s; the
+//!   transport asks [`PaInstance::evidence_matters`] first, and verifies
+//!   (relaxed destination check) and feeds here only what can still change
+//!   the decision.
 //!
 //! Cheater marking: a node observed (directly or via evidence) certifying
 //! two different input values is a *cheater* and drops out of the majority
@@ -79,6 +81,33 @@ impl PaInstance {
                 Some((value, members.into_iter().collect()))
             }
             None => None,
+        }
+    }
+
+    /// Whether step-3 evidence "`certifier` certified `value`" could still
+    /// change [`PaInstance::decide`]. The decision reads `relayed[m]` only
+    /// for `m ∈ MAJ`, and only through "`m` certified exactly one value": so
+    /// evidence matters exactly when it is about a majority member not yet
+    /// exposed and names a value other than the one known for it — that is,
+    /// when it would expose `m` as a cheater. Feeding [`PaInstance::on_evidence`]
+    /// anything else leaves every later decision as it was, so the caller
+    /// may drop it before paying for VER-CERT.
+    pub fn evidence_matters(&self, certifier: u32, value: &[u8]) -> bool {
+        let Some((_, members)) = &self.maj else {
+            return false;
+        };
+        if !members.contains(&certifier) {
+            return false;
+        }
+        let mut known = self
+            .accepted
+            .get(&certifier)
+            .into_iter()
+            .chain(self.relayed.get(&certifier))
+            .flatten();
+        match known.next() {
+            None => true,
+            Some(first) => first.as_slice() != value && known.all(|v| v == first),
         }
     }
 
@@ -233,6 +262,28 @@ mod tests {
         let out = run_pa(5, vec![Some(b"k"), Some(b"k"), Some(b"k"), None, None], &[], b"x");
         assert_eq!(out[3].as_deref(), Some(b"k".as_slice()));
         assert_eq!(out[4].as_deref(), Some(b"k".as_slice()));
+    }
+
+    #[test]
+    fn evidence_matters_only_while_it_can_expose_a_majority_member() {
+        let mut inst = PaInstance::new(5);
+        for sender in 1..=4 {
+            inst.on_accepted_value(sender, b"a".to_vec());
+        }
+        inst.on_accepted_value(5, b"b".to_vec());
+        assert!(!inst.evidence_matters(1, b"x"), "no majority fixed yet");
+        inst.fix_majority();
+        assert!(!inst.evidence_matters(1, b"a"), "the value already known");
+        assert!(!inst.evidence_matters(5, b"x"), "not a majority member");
+        assert!(!inst.evidence_matters(9, b"x"), "not a node");
+        assert!(inst.evidence_matters(1, b"x"), "would expose member 1");
+        inst.on_evidence(1, b"x".to_vec());
+        assert!(!inst.evidence_matters(1, b"y"), "already exposed");
+        // One exposure leaves a bare quorum of three; the second breaks it.
+        assert_eq!(inst.decide().as_deref(), Some(b"a".as_slice()));
+        assert!(inst.evidence_matters(2, b"x"));
+        inst.on_evidence(2, b"x".to_vec());
+        assert_eq!(inst.decide(), None);
     }
 
     #[test]

@@ -33,24 +33,24 @@
 
 use crate::authenticator::{AlProtocol, AppCtx};
 use crate::certify::{
-    cert_payload, certify, mac_certify, session_key, ver_cert, ver_cert_precertified, ver_mac,
-    ver_mac_certificate, DestCheck, LocalKeys,
+    certify, mac_certify, session_key, ver_cert_format, ver_cert_signature, ver_certificate,
+    ver_mac, DestCheck, LocalKeys,
 };
 use crate::disperse::{DisperseLayer, DisperseMode};
 use crate::pa::PaInstance;
 use crate::wire::{Blob, CertifiedMsg, Inner, UlsWire};
 use proauth_crypto::group::Group;
-use proauth_crypto::schnorr::{self, Signature, VerifyKey};
+use proauth_crypto::schnorr::{Signature, VerifyKey};
 use proauth_pds::api::{AlPds, PdsPhase, PdsTime};
 use proauth_pds::als::{AlsConfig, AlsPds};
 use proauth_pds::statement::{key_statement, parse_key_statement};
 use proauth_primitives::bigint::BigUint;
-use proauth_primitives::wire::{Decode, Encode, InternedBlob};
-use proauth_sim::clock::Phase;
+use proauth_primitives::wire::{Decode, Encode};
+use proauth_sim::clock::{Phase, TimeView};
 use proauth_sim::message::{NodeId, OutputEvent};
 use proauth_telemetry as telemetry;
 use proauth_sim::process::{Process, RoundCtx, SetupCtx};
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 
 /// Physical rounds of refresh Part I.
 pub const PART1_ROUNDS: u64 = 20;
@@ -122,12 +122,6 @@ pub struct UlsConfig {
     pub disperse: DisperseMode,
     /// Steady-state authentication mode.
     pub auth_mode: AuthMode,
-    /// Bundle all of a node's PA step-3 evidence relays for one subject into
-    /// a single [`Blob::EvidenceBundle`] per destination (default). Turning
-    /// this off restores the per-member `Blob::Evidence` sends — Θ(n³)
-    /// envelopes per refresh instead of Θ(n²) — and exists only as an
-    /// ablation knob for the complexity experiments.
-    pub bundle_evidence: bool,
     /// PDS session-id scope (see [`proauth_pds::msg::sid_for_scoped`]).
     /// Empty (the default) keeps the flat scheme's sids bit-for-bit; the
     /// hierarchical runner scopes each cluster so concurrent cluster-local
@@ -145,7 +139,6 @@ impl UlsConfig {
             t,
             disperse: DisperseMode::Full,
             auth_mode: AuthMode::default(),
-            bundle_evidence: true,
             sid_scope: Vec::new(),
         }
     }
@@ -155,6 +148,16 @@ impl UlsConfig {
         self.sid_scope = scope.into();
         self
     }
+}
+
+/// A node's certified key for one unit, as this node verified it: the exact
+/// `(vk, cert)` bytes whose certificate held under the ROM `v_cert`, and the
+/// validated key. VER-CERT step 2 is a function of `(node, unit, vk, cert)`
+/// alone, so a message carrying exactly these bytes need not repeat it.
+struct Pin {
+    vk: Vec<u8>,
+    cert: Signature,
+    key: VerifyKey,
 }
 
 /// The ULS node: UL-model PDS + proactive authenticator.
@@ -189,9 +192,16 @@ pub struct UlsNode<A: AlProtocol> {
     app_logical_round: u64,
     /// Setup-phase storage: announced unit-0 keys of all nodes.
     setup_vks: BTreeMap<u32, Vec<u8>>,
-    /// Pinned certified peer keys: (peer, unit) → vk element.
-    peer_vks: BTreeMap<(u32, u64), BigUint>,
-    /// Derived pairwise session keys: (peer, unit) → key.
+    /// Certificates already verified, one per (node, unit), first one wins:
+    /// filled from this node's own completed PDS sessions and from VER-CERT
+    /// step 2 on received messages; read by both [`AuthMode`]s. Volatile
+    /// like the keys it vouches for: wiped by a break-in, emptied of the
+    /// new unit when its refresh starts (`OFF_ANNOUNCE`) and of every other
+    /// unit when it ends (`OFF_ADOPT`) — so it holds at most `2n` entries,
+    /// and none that a break-in planted ahead of time.
+    pins: BTreeMap<(u32, u64), Pin>,
+    /// Derived pairwise session keys: (peer, unit) → key. Same lifetime as
+    /// `pins`.
     session_keys: BTreeMap<(u32, u64), [u8; 32]>,
     /// Count of alerts raised (mirrors the output log; handy for tests).
     pub alerts_raised: u64,
@@ -225,7 +235,7 @@ impl<A: AlProtocol> UlsNode<A> {
             app,
             app_logical_round: 0,
             setup_vks: BTreeMap::new(),
-            peer_vks: BTreeMap::new(),
+            pins: BTreeMap::new(),
             session_keys: BTreeMap::new(),
             alerts_raised: 0,
             mac_sent: 0,
@@ -256,7 +266,7 @@ impl<A: AlProtocol> UlsNode<A> {
         self.pds_inbox.clear();
         self.app_inbox.clear();
         self.app_inputs.clear();
-        self.peer_vks.clear();
+        self.pins.clear();
         self.session_keys.clear();
     }
 
@@ -275,9 +285,68 @@ impl<A: AlProtocol> UlsNode<A> {
         rom.read("v_cert").map(BigUint::from_bytes_be)
     }
 
-    /// Pins a certified peer key.
-    fn pin_peer_vk(&mut self, peer: u32, unit: u64, vk: BigUint) {
-        self.peer_vks.entry((peer, unit)).or_insert(vk);
+    /// Fig. 3 step 2, done once: the validated key of `node` for `unit` if
+    /// `cert` certifies `vk` under `v_cert` — from the pin table when it
+    /// holds exactly these bytes, otherwise verified now and pinned. A hit
+    /// needs byte equality, so the answer is always the one
+    /// [`ver_certificate`] gives; a flipped byte misses and is verified.
+    fn certified_key(
+        &mut self,
+        node: u32,
+        unit: u64,
+        vk: &[u8],
+        cert: &Signature,
+        v_cert: &BigUint,
+    ) -> Option<VerifyKey> {
+        if let Some(pin) = self.pins.get(&(node, unit)) {
+            if pin.vk == vk && pin.cert == *cert {
+                return Some(pin.key.clone());
+            }
+        }
+        telemetry::count("uls/certs_checked", 1);
+        let key = ver_certificate(&self.cfg.group, NodeId(node), unit, vk, cert, v_cert)?;
+        self.pin(node, unit, vk, cert, key.clone());
+        Some(key)
+    }
+
+    /// Pins a certificate the caller has verified under `v_cert`.
+    fn pin(&mut self, node: u32, unit: u64, vk: &[u8], cert: &Signature, key: VerifyKey) {
+        self.pins.entry((node, unit)).or_insert_with(|| Pin {
+            vk: vk.to_vec(),
+            cert: cert.clone(),
+            key,
+        });
+    }
+
+    /// Drops the pins and session keys of the units `keep` rejects.
+    fn retain_pins(&mut self, keep: impl Fn(u64) -> bool) {
+        self.pins.retain(|&(_, u), _| keep(u));
+        self.session_keys.retain(|&(_, u), _| keep(u));
+    }
+
+    /// Pins a certificate this node's own PDS session just produced (the
+    /// session verified it under the ROM key before reporting completion).
+    fn pin_signed(&mut self, node: NodeId, unit: u64, vk: &[u8], cert: &Signature) {
+        if let Some(key) = VerifyKey::from_element(&self.cfg.group, BigUint::from_bytes_be(vk)) {
+            self.pin(node.0, unit, vk, cert, key);
+        }
+    }
+
+    /// VER-CERT (Fig. 3) for a received message, with step 2 through the
+    /// pin table. Step 1 comes first, so only well-formed messages of the
+    /// unit in force can cost a certificate check or take a pin.
+    fn ver_cert(
+        &mut self,
+        dest: DestCheck,
+        expected_unit: u64,
+        expected_w: u64,
+        msg: &CertifiedMsg,
+        v_cert: &BigUint,
+    ) -> bool {
+        ver_cert_format(dest, NodeId(msg.i), expected_unit, expected_w, msg)
+            && self
+                .certified_key(msg.i, msg.u, &msg.vk, &msg.cert, v_cert)
+                .is_some_and(|key| ver_cert_signature(&key, msg))
     }
 
     /// The pairwise session key with `peer` for `unit`, derived lazily from
@@ -290,7 +359,7 @@ impl<A: AlProtocol> UlsNode<A> {
         if local.unit != unit || !local.is_certified() {
             return None;
         }
-        let peer_vk = self.peer_vks.get(&(peer, unit))?;
+        let peer_vk = self.pins.get(&(peer, unit))?.key.element();
         let key = session_key(&self.cfg.group, &local.signing, peer_vk, unit)?;
         self.session_keys.insert((peer, unit), key);
         Some(key)
@@ -352,6 +421,54 @@ impl<A: AlProtocol> UlsNode<A> {
         }
     }
 
+    /// PARTIAL-AGREEMENT step 4: relayed step-1 messages about `subject`.
+    ///
+    /// Only evidence that can still change this node's decision — it would
+    /// expose a majority member as a cheater, see
+    /// [`PaInstance::evidence_matters`] — is put through VER-CERT (relaxed
+    /// destination, bound to the step-1 round) and fed to the instance; the
+    /// rest would leave the instance's decision as it is whether or not it
+    /// verifies, so it is dropped unverified.
+    fn on_evidence(
+        &mut self,
+        subject: u32,
+        msgs: &[CertifiedMsg],
+        time: &TimeView,
+        v_cert: &BigUint,
+    ) {
+        // Evidence lands two rounds after OFF_PA_MAJ, and nowhere else.
+        if !matches!(time.phase, Phase::RefreshPart1 { .. }) || time.round_in_unit != OFF_PA_MAJ + 2
+        {
+            return;
+        }
+        let pa_send_round = time.round - time.round_in_unit + OFF_PA_SEND;
+        for msg in msgs {
+            let exposing = match Inner::from_bytes(&msg.m) {
+                Ok(Inner::PaValue { subject: s, value })
+                    if s == subject
+                        && self
+                            .pa
+                            .get(&subject)
+                            .is_some_and(|inst| inst.evidence_matters(msg.i, &value)) =>
+                {
+                    value
+                }
+                _ => {
+                    telemetry::count("pa/evidence_skipped", 1);
+                    continue;
+                }
+            };
+            let dest = DestCheck::AnyDestination;
+            if !self.ver_cert(dest, time.auth_unit, pa_send_round, msg, v_cert) {
+                telemetry::count("uls/rejected", 1);
+                continue;
+            }
+            if let Some(inst) = self.pa.get_mut(&subject) {
+                inst.on_evidence(msg.i, exposing);
+            }
+        }
+    }
+
     /// Processes the full physical inbox of a round.
     fn process_inbox(&mut self, ctx: &RoundCtx<'_>) {
         let Some(v_cert) = Self::v_cert(ctx.rom) else {
@@ -359,269 +476,69 @@ impl<A: AlProtocol> UlsNode<A> {
         };
         let round = ctx.time.round;
         let auth_unit = ctx.time.auth_unit;
-        let unit_start = round - ctx.time.round_in_unit;
         let in_part1 = matches!(ctx.time.phase, Phase::RefreshPart1 { .. });
         // PA step-1 values land exactly two rounds after OFF_PA_SEND.
         let in_pa_window = in_part1 && ctx.time.round_in_unit == OFF_PA_SEND + 2;
-        // Evidence lands two rounds after OFF_PA_MAJ.
-        let in_evidence_window = in_part1 && ctx.time.round_in_unit == OFF_PA_MAJ + 2;
-        let pa_send_round = unit_start + OFF_PA_SEND;
 
-        // Release DISPERSE self-buffered blobs, then drain the inbox.
-        let mut delivered: Vec<(u32, InternedBlob)> = self.disperse.begin_round();
-        for env in ctx.inbox {
-            match UlsWire::from_bytes(&env.payload) {
-                Ok(UlsWire::KeyAnnounce { unit, vk }) => {
-                    // Only meaningful in the announce window of this unit.
-                    if in_part1
-                        && ctx.time.round_in_unit == OFF_ANNOUNCE + 1
-                        && unit == ctx.time.unit
-                        && !vk.is_empty()
-                    {
+        // Key announcements only mean something in this unit's announce
+        // window; everything else in the inbox is DISPERSE's.
+        if in_part1 && ctx.time.round_in_unit == OFF_ANNOUNCE + 1 {
+            for env in ctx.inbox {
+                if let Ok(UlsWire::KeyAnnounce { unit, vk }) = UlsWire::from_bytes(&env.payload) {
+                    if unit == ctx.time.unit && !vk.is_empty() {
                         self.announces.entry(env.from.0).or_insert(vk);
                     }
                 }
-                Ok(UlsWire::Disperse(d)) => {
-                    if let Some(item) = self.disperse.on_message(env.from, d) {
-                        delivered.push(item);
-                    }
-                }
-                Err(_) => {}
             }
         }
 
-        // Parse blobs once and collect every PDS-certificate check they
-        // carry: all certificates verify under the single ROM key `v_cert`,
-        // so one batched Schnorr verification (which also promotes `v_cert`
-        // into the group's hot-base table cache) covers the whole inbox —
-        // the certificate-adoption and evidence windows routinely deliver
-        // `n`-sized bursts. A rejecting batch falls back to the individual
-        // per-message checks below, so acceptance is unchanged.
-        // Evidence arrives with massive multiplicity: every node relays the
-        // same majority members' certified messages, and in relaxed mode the
-        // relay hub re-carries each bundle once per distinct carrier. PA
-        // evidence is carrier-independent — `on_evidence` keys on the
-        // *certifier* inside the message, never on who delivered it — so
-        // byte-identical evidence blobs beyond the first contribute nothing
-        // and can be dropped by content digest before any verification.
-        let mut evidence_seen: HashSet<[u8; 32]> = HashSet::new();
-        let parsed: Vec<Blob> = delivered
-            .iter()
-            .filter_map(|(_, blob)| {
-                let b = Blob::from_bytes(blob.as_bytes()).ok()?;
-                if matches!(b, Blob::Evidence { .. } | Blob::EvidenceBundle { .. })
-                    && !evidence_seen.insert(*blob.digest())
-                {
-                    return None;
-                }
-                Some(b)
-            })
-            .collect();
-        let mut cert_items: Vec<(Vec<u8>, &Signature)> = Vec::new();
-        for blob in &parsed {
+        let delivered = self
+            .disperse
+            .receive(ctx.inbox.iter().map(|env| &env.payload[..]));
+        for (_, blob) in &delivered {
+            let Ok(blob) = Blob::from_bytes(blob) else {
+                continue;
+            };
             match blob {
                 Blob::Certified(cmsg) => {
-                    cert_items.push((cert_payload(NodeId(cmsg.i), cmsg.u, &cmsg.vk), &cmsg.cert));
-                }
-                Blob::Evidence { msg, .. } => {
-                    cert_items.push((cert_payload(NodeId(msg.i), msg.u, &msg.vk), &msg.cert));
-                }
-                Blob::EvidenceBundle { msgs, .. } => {
-                    for msg in msgs {
-                        cert_items.push((cert_payload(NodeId(msg.i), msg.u, &msg.vk), &msg.cert));
-                    }
-                }
-                Blob::CertDeliver {
-                    subject,
-                    unit,
-                    vk,
-                    cert,
-                } => {
-                    cert_items.push((cert_payload(NodeId(*subject), *unit, vk), cert));
-                }
-                // MAC certificates are validated once per sender at pin time.
-                Blob::MacCertified(_) => {}
-            }
-        }
-        telemetry::count("uls/certs_checked", cert_items.len() as u64);
-        let certs_batch_ok = cert_items.len() >= 2
-            && VerifyKey::from_element(&self.cfg.group, v_cert.clone())
-                .map(|vk| {
-                    let items: Vec<(&[u8], &Signature)> = cert_items
-                        .iter()
-                        .map(|(payload, sig)| (payload.as_slice(), *sig))
-                        .collect();
-                    telemetry::timed("crypto/batch_verify_ns", || {
-                        schnorr::batch_verify(&vk, &items)
-                    })
-                })
-                .unwrap_or(false);
-
-        for blob in &parsed {
-            match blob {
-                Blob::Certified(cmsg) => {
-                    let from = NodeId(cmsg.i);
-                    if from == self.me {
+                    if cmsg.i == self.me.0 {
                         continue;
                     }
-                    let ok = if certs_batch_ok {
-                        ver_cert_precertified(
-                            &self.cfg.group,
-                            DestCheck::Me(self.me),
-                            from,
-                            auth_unit,
-                            round.saturating_sub(2),
-                            cmsg,
-                        )
-                    } else {
-                        ver_cert(
-                            &self.cfg.group,
-                            DestCheck::Me(self.me),
-                            from,
-                            auth_unit,
-                            round.saturating_sub(2),
-                            cmsg,
-                            &v_cert,
-                        )
-                    };
-                    if !ok {
+                    if !self.ver_cert(
+                        DestCheck::Me(self.me),
+                        auth_unit,
+                        round.saturating_sub(2),
+                        &cmsg,
+                        &v_cert,
+                    ) {
                         telemetry::count("uls/rejected", 1);
                         continue;
                     }
                     let Ok(inner) = Inner::from_bytes(&cmsg.m) else {
                         continue;
                     };
+                    let from = cmsg.i;
                     if let Inner::PaValue { subject, .. } = &inner {
-                        self.pa_raw
-                            .entry((*subject, cmsg.i))
-                            .or_insert_with(|| cmsg.clone());
+                        self.pa_raw.entry((*subject, from)).or_insert(cmsg);
                     }
-                    self.dispatch_inner(cmsg.i, inner, in_pa_window);
-                }
-                Blob::Evidence { subject, msg } => {
-                    if !in_evidence_window {
-                        continue;
-                    }
-                    let ok = if certs_batch_ok {
-                        ver_cert_precertified(
-                            &self.cfg.group,
-                            DestCheck::AnyDestination,
-                            NodeId(msg.i),
-                            auth_unit,
-                            pa_send_round,
-                            msg,
-                        )
-                    } else {
-                        ver_cert(
-                            &self.cfg.group,
-                            DestCheck::AnyDestination,
-                            NodeId(msg.i),
-                            auth_unit,
-                            pa_send_round,
-                            msg,
-                            &v_cert,
-                        )
-                    };
-                    if !ok {
-                        telemetry::count("uls/rejected", 1);
-                        continue;
-                    }
-                    if let Ok(Inner::PaValue {
-                        subject: s2,
-                        value,
-                    }) = Inner::from_bytes(&msg.m)
-                    {
-                        if s2 == *subject {
-                            self.pa
-                                .entry(*subject)
-                                .or_insert_with(|| PaInstance::new(self.cfg.n))
-                                .on_evidence(msg.i, value);
-                        }
-                    }
-                }
-                Blob::EvidenceBundle { subject, msgs } => {
-                    // Unpack and feed each certified message through exactly
-                    // the checks an individual `Blob::Evidence` would face:
-                    // PA semantics (Lemma 16 / cheater exposure) see the same
-                    // (certifier, value) pairs either way.
-                    if !in_evidence_window {
-                        continue;
-                    }
-                    for msg in msgs {
-                        let ok = if certs_batch_ok {
-                            ver_cert_precertified(
-                                &self.cfg.group,
-                                DestCheck::AnyDestination,
-                                NodeId(msg.i),
-                                auth_unit,
-                                pa_send_round,
-                                msg,
-                            )
-                        } else {
-                            ver_cert(
-                                &self.cfg.group,
-                                DestCheck::AnyDestination,
-                                NodeId(msg.i),
-                                auth_unit,
-                                pa_send_round,
-                                msg,
-                                &v_cert,
-                            )
-                        };
-                        if !ok {
-                            telemetry::count("uls/rejected", 1);
-                            continue;
-                        }
-                        if let Ok(Inner::PaValue {
-                            subject: s2,
-                            value,
-                        }) = Inner::from_bytes(&msg.m)
-                        {
-                            if s2 == *subject {
-                                self.pa
-                                    .entry(*subject)
-                                    .or_insert_with(|| PaInstance::new(self.cfg.n))
-                                    .on_evidence(msg.i, value);
-                            }
-                        }
-                    }
+                    self.dispatch_inner(from, inner, in_pa_window);
                 }
                 Blob::MacCertified(mmsg) => {
                     let from = mmsg.i;
                     if from == self.me.0 || from == 0 || from > self.cfg.n as u32 {
                         continue;
                     }
-                    // Pin the sender's key: from cache, or by verifying the
-                    // attached certificate once.
-                    let pinned = self.peer_vks.get(&(from, auth_unit)).cloned();
-                    let peer_vk = match pinned {
-                        Some(vk) => {
-                            // Pinned: the message must use exactly that key.
-                            if vk.to_bytes_be() != mmsg.vk {
-                                telemetry::count("uls/rejected", 1);
-                                continue;
-                            }
-                            vk
-                        }
-                        None => {
-                            let Some(vk) = ver_mac_certificate(
-                                &self.cfg.group,
-                                NodeId(from),
-                                mmsg,
-                                &v_cert,
-                            ) else {
-                                telemetry::count("uls/rejected", 1);
-                                continue;
-                            };
-                            if mmsg.u != auth_unit {
-                                telemetry::count("uls/rejected", 1);
-                                continue;
-                            }
-                            self.pin_peer_vk(from, auth_unit, vk.clone());
-                            vk
-                        }
-                    };
-                    let _ = peer_vk;
+                    // The sender's key is pinned once per unit (from my own
+                    // PDS session, or by verifying the attached certificate
+                    // now); after that the message must use exactly that key.
+                    if !self.pins.contains_key(&(from, auth_unit)) && mmsg.u == auth_unit {
+                        self.certified_key(from, auth_unit, &mmsg.vk, &mmsg.cert, &v_cert);
+                    }
+                    let pin = self.pins.get(&(from, auth_unit));
+                    if pin.is_none_or(|pin| pin.vk != mmsg.vk) {
+                        telemetry::count("uls/rejected", 1);
+                        continue;
+                    }
                     let Some(key) = self.session_key_for(from, auth_unit) else {
                         continue;
                     };
@@ -630,7 +547,7 @@ impl<A: AlProtocol> UlsNode<A> {
                         NodeId(from),
                         auth_unit,
                         round.saturating_sub(2),
-                        mmsg,
+                        &mmsg,
                         &key,
                     ) {
                         telemetry::count("uls/rejected", 1);
@@ -652,21 +569,32 @@ impl<A: AlProtocol> UlsNode<A> {
                     vk,
                     cert,
                 } => {
-                    if *subject != self.me.0 || *unit != ctx.time.unit {
+                    if subject != self.me.0 || unit != ctx.time.unit {
                         continue;
                     }
-                    let Some(pending) = &mut self.pending_new else {
-                        continue;
-                    };
-                    if pending.cert.is_some() || pending.vk_bytes() != *vk {
-                        continue;
-                    }
-                    let statement = key_statement(self.me, *unit, vk);
-                    if certs_batch_ok
-                        || AlsPds::verify(&self.cfg.group, &v_cert, &statement, *unit, cert)
+                    // Only a certificate I still lack, for the key I
+                    // announced, is worth checking.
+                    let wanted = self
+                        .pending_new
+                        .as_ref()
+                        .is_some_and(|p| p.cert.is_none() && p.vk_bytes() == vk);
+                    if wanted
+                        && self
+                            .certified_key(subject, unit, &vk, &cert, &v_cert)
+                            .is_some()
                     {
-                        pending.cert = Some(cert.clone());
+                        if let Some(pending) = &mut self.pending_new {
+                            pending.cert = Some(cert);
+                        }
                     }
+                }
+                // A lone `Evidence` (no honest node sends one any more, an
+                // adversary may) is a bundle of one.
+                Blob::Evidence { subject, msg } => {
+                    self.on_evidence(subject, std::slice::from_ref(&msg), &ctx.time, &v_cert);
+                }
+                Blob::EvidenceBundle { subject, msgs } => {
+                    self.on_evidence(subject, &msgs, &ctx.time, &v_cert);
                 }
             }
         }
@@ -693,10 +621,7 @@ impl<A: AlProtocol> UlsNode<A> {
                 if cert_unit == rec.unit {
                     self.certs_out.insert(subject.0, (vk.clone(), rec.sig.clone()));
                     if subject != self.me {
-                        let elem = BigUint::from_bytes_be(&vk);
-                        if self.cfg.group.contains(&elem) {
-                            self.pin_peer_vk(subject.0, cert_unit, elem);
-                        }
+                        self.pin_signed(subject, cert_unit, &vk, &rec.sig);
                     }
                     if subject == self.me {
                         if let Some(pending) = &mut self.pending_new {
@@ -770,6 +695,10 @@ impl<A: AlProtocol> UlsNode<A> {
                 self.pa.clear();
                 self.pa_raw.clear();
                 self.certs_out.clear();
+                // No certificate of this unit exists yet, so no pin for it
+                // can have been earned: whatever is there was planted in a
+                // break-in, and must not outlive the refresh that ends it.
+                self.retain_pins(|u| u < unit);
                 let keys = LocalKeys::generate(&self.cfg.group, unit, ctx.rng);
                 let announce = UlsWire::KeyAnnounce {
                     unit,
@@ -803,11 +732,9 @@ impl<A: AlProtocol> UlsNode<A> {
             }
             OFF_PA_MAJ => {
                 // PA steps 2–3: fix majorities; relay majority members'
-                // certified messages as evidence. Bundled (default): all of
-                // my relays for one subject ride a single EvidenceBundle per
-                // destination — Θ(n²) envelopes per refresh instead of the
-                // per-member Θ(n³). The receiver unpacks and verifies each
-                // message individually, so PA outcomes are unchanged.
+                // certified messages as evidence. All of my relays for one
+                // subject ride a single EvidenceBundle per destination —
+                // Θ(n²) envelopes per refresh, not one DISPERSE per member.
                 let subjects: Vec<u32> = self.pa.keys().copied().collect();
                 for subject in subjects {
                     let members = {
@@ -815,38 +742,18 @@ impl<A: AlProtocol> UlsNode<A> {
                         inst.fix_majority();
                         inst.majority_members()
                     };
-                    if self.cfg.bundle_evidence {
-                        let msgs: Vec<CertifiedMsg> = members
-                            .iter()
-                            .filter(|&&m| m != self.me.0) // others got my step-1 send directly
-                            .filter_map(|&m| self.pa_raw.get(&(subject, m)).cloned())
-                            .collect();
-                        if msgs.is_empty() {
-                            continue;
-                        }
-                        let blob = Blob::EvidenceBundle { subject, msgs }.intern();
-                        for to in NodeId::all(self.cfg.n) {
-                            if to != self.me {
-                                self.disperse.send(to, blob.clone());
-                            }
-                        }
-                    } else {
-                        for member in members {
-                            if member == self.me.0 {
-                                continue; // others received my step-1 send directly
-                            }
-                            if let Some(raw) = self.pa_raw.get(&(subject, member)) {
-                                let blob = Blob::Evidence {
-                                    subject,
-                                    msg: raw.clone(),
-                                }
-                                .intern();
-                                for to in NodeId::all(self.cfg.n) {
-                                    if to != self.me {
-                                        self.disperse.send(to, blob.clone());
-                                    }
-                                }
-                            }
+                    let msgs: Vec<CertifiedMsg> = members
+                        .iter()
+                        .filter(|&&m| m != self.me.0) // others got my step-1 send directly
+                        .filter_map(|&m| self.pa_raw.get(&(subject, m)).cloned())
+                        .collect();
+                    if msgs.is_empty() {
+                        continue;
+                    }
+                    let blob = Blob::EvidenceBundle { subject, msgs }.intern();
+                    for to in NodeId::all(self.cfg.n) {
+                        if to != self.me {
+                            self.disperse.send(to, blob.clone());
                         }
                     }
                 }
@@ -898,6 +805,9 @@ impl<A: AlProtocol> UlsNode<A> {
                     self.pds.mark_share_lost();
                     self.alert(ctx);
                 }
+                // From the next round on only this unit's keys authenticate
+                // anything: older pins are dead weight.
+                self.retain_pins(|u| u == unit);
             }
             _ => {}
         }
@@ -982,10 +892,7 @@ impl<A: AlProtocol> Process for UlsNode<A> {
                         }
                     }
                 } else {
-                    let elem = BigUint::from_bytes_be(&vk);
-                    if self.cfg.group.contains(&elem) {
-                        self.pin_peer_vk(subject.0, 0, elem);
-                    }
+                    self.pin_signed(subject, 0, &vk, &rec.sig);
                 }
             }
         }
@@ -1062,5 +969,382 @@ impl<A: AlProtocol> Process for UlsNode<A> {
 
     fn state_mut(&mut self) -> &mut dyn std::any::Any {
         self
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::authenticator::HeartbeatApp;
+    use crate::wire::DisperseView;
+    use proauth_crypto::group::GroupId;
+    use proauth_sim::adversary::{BreakPlan, FaithfulUl, NetView, UlAdversary};
+    use proauth_sim::message::{Envelope, OutputLog};
+    use proauth_sim::runner::{run_ul, SimConfig};
+    use proauth_sim::Telemetry;
+    use std::sync::{Arc, Mutex};
+
+    const N: usize = 5;
+    const T: usize = 2;
+    const NORMAL: u64 = 12;
+
+    fn unit_rounds() -> u64 {
+        uls_schedule(NORMAL).unit_rounds
+    }
+
+    fn make_node(mode: AuthMode) -> impl Fn(NodeId) -> UlsNode<HeartbeatApp> {
+        move |id| {
+            let mut c = UlsConfig::new(Group::new(GroupId::Toy64), N, T);
+            c.auth_mode = mode;
+            UlsNode::new(c, id, HeartbeatApp::default())
+        }
+    }
+
+    /// What a metered run shows from outside.
+    struct Metered {
+        /// The nodes' own output (the runner's verdicts on who counts as
+        /// compromised — any injection moves those — left out).
+        outputs: Vec<OutputLog>,
+        alerts: u64,
+        telemetry: Telemetry,
+    }
+
+    impl Metered {
+        fn counter(&self, name: &str) -> u64 {
+            self.telemetry.counter(name)
+        }
+
+        /// Message signatures verified (VER-CERT step 3).
+        fn signatures_verified(&self) -> u64 {
+            let snapshot = self.telemetry.snapshot().expect("telemetry on");
+            snapshot
+                .hists
+                .get("crypto/verify_ns")
+                .map_or(0, |h| h.total)
+        }
+    }
+
+    fn sim_cfg(units: u64, seed: u64) -> SimConfig {
+        let mut c = SimConfig::new(N, T, uls_schedule(NORMAL));
+        c.setup_rounds = SETUP_ROUNDS;
+        c.total_rounds = unit_rounds() * units;
+        c.seed = seed;
+        c
+    }
+
+    fn run_metered(units: u64, adv: &mut impl UlAdversary) -> Metered {
+        let mut c = sim_cfg(units, 31);
+        let telemetry = Telemetry::enabled();
+        c.telemetry = telemetry.clone();
+        let mut result = run_ul(c, make_node(AuthMode::Sign), adv);
+        for log in &mut result.outputs {
+            log.retain(|(_, ev)| !matches!(ev, OutputEvent::Compromised | OutputEvent::Recovered));
+        }
+        Metered {
+            outputs: result.outputs,
+            alerts: result.stats.alerts.iter().sum(),
+            telemetry,
+        }
+    }
+
+    /// The body and claimed origin of a `Forwarding`.
+    fn forwarding(env: &Envelope) -> Option<(u32, &[u8])> {
+        match DisperseView::parse(&env.payload)? {
+            DisperseView::Forwarding { origin, body } => Some((origin, body)),
+            DisperseView::Forward { .. } => None,
+        }
+    }
+
+    fn inject(out: &mut Vec<Envelope>, origin: u32, to: NodeId, blob: &Blob) {
+        let body = blob.to_bytes();
+        let wire = DisperseView::Forwarding {
+            origin,
+            body: &body,
+        };
+        out.push(Envelope::new(NodeId(origin), to, wire.to_payload()));
+    }
+
+    /// Re-sends node 1's certified messages to node 2 with one certificate
+    /// byte flipped, next to the originals, through unit 1's normal phase —
+    /// when node 2 has long pinned node 1's certificate.
+    #[derive(Default)]
+    struct CertFlipper {
+        flipped: u64,
+    }
+
+    impl UlAdversary for CertFlipper {
+        fn deliver(&mut self, sent: &[Envelope], view: &NetView<'_>) -> Vec<Envelope> {
+            let mut out = sent.to_vec();
+            if view.time.unit != 1 || view.time.phase != Phase::Normal {
+                return out;
+            }
+            // One copy per round is plenty: the first relay's.
+            let copy = sent
+                .iter()
+                .filter(|env| env.to == NodeId(2))
+                .find_map(|env| {
+                    let (origin, body) = forwarding(env)?;
+                    match Blob::from_bytes(body) {
+                        Ok(Blob::Certified(cmsg)) if origin == 1 && cmsg.i == 1 => Some(cmsg),
+                        _ => None,
+                    }
+                });
+            if let Some(mut cmsg) = copy {
+                let mut cert = cmsg.cert.to_bytes();
+                *cert.last_mut().expect("non-empty") ^= 1;
+                cmsg.cert = Signature::from_bytes(&cert).expect("same lengths");
+                inject(&mut out, 1, NodeId(2), &Blob::Certified(cmsg));
+                self.flipped += 1;
+            }
+            out
+        }
+    }
+
+    #[test]
+    fn flipped_certificate_byte_on_pinned_sender_is_rejected() {
+        // Three units, so that every copy injected in unit 1 also arrives.
+        let clean = run_metered(3, &mut FaithfulUl);
+        let mut adv = CertFlipper::default();
+        let attacked = run_metered(3, &mut adv);
+        assert!(adv.flipped > 0, "attack actually ran");
+        // Message, signature and key are the pinned sender's own; only the
+        // certificate differs from the pinned one. That is a miss, not a
+        // hit: the certificate is verified, fails, and the copy is rejected.
+        assert_eq!(clean.counter("uls/rejected"), 0);
+        assert_eq!(attacked.counter("uls/rejected"), adv.flipped);
+        assert_eq!(
+            attacked.counter("uls/certs_checked") - clean.counter("uls/certs_checked"),
+            adv.flipped,
+            "each flipped copy costs its own certificate check"
+        );
+        assert_eq!(attacked.signatures_verified(), clean.signatures_verified());
+        assert_eq!(attacked.outputs, clean.outputs);
+    }
+
+    /// Every round of unit 1, every node gets a `CertDeliver` with a junk
+    /// certificate in its own name: on even rounds for the key it really
+    /// announced (read off the wire), on odd rounds for a junk key.
+    #[derive(Default)]
+    struct JunkCertDeliverer {
+        announced: BTreeMap<NodeId, Vec<u8>>,
+        /// Junk deliveries that named the victim's real key.
+        plausible: u64,
+    }
+
+    impl UlAdversary for JunkCertDeliverer {
+        fn deliver(&mut self, sent: &[Envelope], view: &NetView<'_>) -> Vec<Envelope> {
+            let mut out = sent.to_vec();
+            if view.time.unit != 1 {
+                return out;
+            }
+            for env in sent {
+                if let Ok(UlsWire::KeyAnnounce { unit: 1, vk }) = UlsWire::from_bytes(&env.payload)
+                {
+                    self.announced.insert(env.from, vk);
+                }
+            }
+            for to in NodeId::all(view.n) {
+                let real = self
+                    .announced
+                    .get(&to)
+                    .filter(|_| view.time.round.is_multiple_of(2));
+                self.plausible += u64::from(real.is_some());
+                let blob = Blob::CertDeliver {
+                    subject: to.0,
+                    unit: 1,
+                    vk: real.cloned().unwrap_or_else(|| vec![7; 8]),
+                    cert: Signature {
+                        e: BigUint::from_u64(view.time.round),
+                        s: BigUint::from_u64(3),
+                    },
+                };
+                inject(&mut out, to.0 % N as u32 + 1, to, &blob);
+            }
+            out
+        }
+    }
+
+    #[test]
+    fn junk_cert_deliveries_cost_their_own_check_and_nothing_else() {
+        let clean = run_metered(2, &mut FaithfulUl);
+        let mut adv = JunkCertDeliverer::default();
+        let attacked = run_metered(2, &mut adv);
+        assert!(adv.plausible > 0, "attack actually ran");
+        // Nobody's view changes, and no honest message is verified twice or
+        // down a slower path because junk shared its inbox.
+        assert_eq!(attacked.outputs, clean.outputs);
+        assert_eq!((attacked.alerts, clean.alerts), (0, 0));
+        assert_eq!(attacked.signatures_verified(), clean.signatures_verified());
+        // A junk certificate is checked only while it could be the one the
+        // node is waiting for, and then once.
+        let extra = attacked.counter("uls/certs_checked") - clean.counter("uls/certs_checked");
+        assert!(
+            (1..=adv.plausible).contains(&extra),
+            "{extra} extra certificate checks for {} plausible junk deliveries",
+            adv.plausible
+        );
+    }
+
+    /// The units of a node's pins and of its session keys, on entry to a round.
+    type MapLog = Arc<Mutex<Vec<(TimeView, Vec<u64>, Vec<u64>)>>>;
+
+    /// A ULS node that logs its per-unit maps on entry to every round.
+    struct Probed {
+        node: UlsNode<HeartbeatApp>,
+        log: MapLog,
+    }
+
+    impl Process for Probed {
+        fn on_setup_round(&mut self, ctx: &mut SetupCtx<'_>) {
+            self.node.on_setup_round(ctx);
+        }
+
+        fn on_round(&mut self, ctx: &mut RoundCtx<'_>) {
+            let units = |keys: Vec<&(u32, u64)>| keys.into_iter().map(|&(_, u)| u).collect();
+            self.log.lock().unwrap().push((
+                ctx.time,
+                units(self.node.pins.keys().collect()),
+                units(self.node.session_keys.keys().collect()),
+            ));
+            self.node.on_round(ctx);
+        }
+
+        fn state_mut(&mut self) -> &mut dyn std::any::Any {
+            &mut self.node
+        }
+    }
+
+    /// Sits on node 2 for two rounds from round `at`, doing `act` to its
+    /// memory, and otherwise leaves the network alone.
+    struct Intruder {
+        at: u64,
+        act: fn(&mut UlsNode<HeartbeatApp>),
+    }
+
+    impl UlAdversary for Intruder {
+        fn plan(&mut self, view: &NetView<'_>) -> BreakPlan {
+            if view.time.round == self.at {
+                BreakPlan::break_into([NodeId(2)])
+            } else if view.time.round == self.at + 2 {
+                BreakPlan::leave([NodeId(2)])
+            } else {
+                BreakPlan::none()
+            }
+        }
+
+        fn corrupt(&mut self, _id: NodeId, state: &mut dyn std::any::Any, _time: &TimeView) {
+            (self.act)(state.downcast_mut().expect("ULS node"));
+        }
+
+        fn deliver(&mut self, sent: &[Envelope], _view: &NetView<'_>) -> Vec<Envelope> {
+            sent.to_vec()
+        }
+    }
+
+    /// Plants a pin and a session key in node 1's name for unit 2 (for a key
+    /// the node holds: its own of unit 1).
+    fn plant_pin_for_unit_2(node: &mut UlsNode<HeartbeatApp>) {
+        let own = node.steal_local_keys().expect("certified in unit 1");
+        node.pins.insert(
+            (1, 2),
+            Pin {
+                vk: own.vk_bytes(),
+                cert: own.cert.clone().expect("certified"),
+                key: own.signing.verify_key().clone(),
+            },
+        );
+        node.session_keys.insert((1, 2), [9; 32]);
+    }
+
+    #[test]
+    fn pins_planted_for_a_later_unit_do_not_survive_into_it() {
+        let c = sim_cfg(3, 33);
+        let log = MapLog::default();
+        let make = make_node(AuthMode::SessionMac);
+        let planted_at = unit_rounds() + PART1_ROUNDS + PART2_ROUNDS + 4;
+        let result = run_ul(
+            c,
+            |id| Probed {
+                node: make(id),
+                log: if id == NodeId(2) {
+                    log.clone()
+                } else {
+                    MapLog::default()
+                },
+            },
+            &mut Intruder {
+                at: planted_at,
+                act: plant_pin_for_unit_2,
+            },
+        );
+        let log = log.lock().unwrap();
+        let pins_of_unit_2 = |round: u64| {
+            let (_, pins, session_keys) = log.iter().find(|(t, ..)| t.round == round).expect("ran");
+            let count = |units: &Vec<u64>| units.iter().filter(|&&u| u == 2).count();
+            (count(pins), count(session_keys))
+        };
+        // There when the adversary leaves, gone once unit 2's refresh has
+        // begun — before the first message of that unit could use them.
+        assert_eq!(pins_of_unit_2(planted_at + 2), (1, 1));
+        assert_eq!(pins_of_unit_2(2 * unit_rounds() + OFF_ANNOUNCE + 1), (0, 0));
+        // The slot was free for the real certificate: node 2 hears node 1
+        // again in unit 2.
+        let after_refresh = 2 * unit_rounds() + PART1_ROUNDS + PART2_ROUNDS;
+        assert!(result.outputs[NodeId(2).idx()].iter().any(|(round, ev)| {
+            *round > after_refresh
+                && matches!(ev, OutputEvent::Accepted { from, .. } if *from == NodeId(1))
+        }));
+    }
+
+    #[test]
+    fn per_unit_maps_stay_bounded_and_die_with_their_keys() {
+        let c = sim_cfg(6, 32);
+        let logs: Vec<MapLog> = (0..N).map(|_| MapLog::default()).collect();
+        let wipe_at = 2 * unit_rounds() + PART1_ROUNDS + PART2_ROUNDS + 4;
+        let make = make_node(AuthMode::SessionMac);
+        run_ul(
+            c,
+            |id| Probed {
+                node: make(id),
+                log: logs[id.idx()].clone(),
+            },
+            &mut Intruder {
+                at: wipe_at,
+                act: UlsNode::corrupt_wipe,
+            },
+        );
+        for (idx, log) in logs.iter().enumerate() {
+            let log = log.lock().unwrap();
+            for (time, pins, session_keys) in log.iter() {
+                // Two units' worth while a refresh runs (old keys still
+                // authenticate, new ones are being certified), one otherwise:
+                // adoption leaves nothing of other units behind.
+                let adopted = time.unit == 0 || time.round_in_unit > OFF_ADOPT;
+                let bound = if adopted { N } else { 2 * N };
+                assert!(pins.len() <= bound, "node {idx} {time:?}: pins {pins:?}");
+                assert!(
+                    session_keys.len() <= bound,
+                    "node {idx} {time:?}: {session_keys:?}"
+                );
+                if adopted {
+                    let stale = |units: &Vec<u64>| units.iter().any(|&u| u != time.unit);
+                    assert!(!stale(pins) && !stale(session_keys), "node {idx} {time:?}");
+                }
+            }
+            // The maps were in use: at the end everyone else is pinned and
+            // keyed (node 2 included — it recovered in unit 3).
+            let (_, pins, session_keys) = log.last().expect("rounds ran");
+            assert!(
+                pins.len() >= N - 1 && session_keys.len() == N - 1,
+                "node {idx}"
+            );
+        }
+        // A break-in empties them: node 2's first round back starts blank.
+        let log = logs[1].lock().unwrap();
+        let (_, pins, session_keys) = log
+            .iter()
+            .find(|(time, ..)| time.round >= wipe_at)
+            .expect("node 2 ran again");
+        assert!(pins.is_empty() && session_keys.is_empty());
     }
 }

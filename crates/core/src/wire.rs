@@ -5,7 +5,9 @@
 //! 1. [`UlsWire`] — what actually travels in a physical envelope: either a
 //!    *clear* key announcement (refresh Part I, step 2 — the one message the
 //!    paper deliberately leaves unauthenticated) or a [`DisperseMsg`].
-//! 2. [`DisperseMsg`] — the two-phase echo of Fig. 2 carrying an opaque blob.
+//! 2. [`DisperseMsg`] — the two-phase echo of Fig. 2 carrying an opaque blob
+//!    ([`DisperseView`] is the same message read in place, which is how the
+//!    receive path sees it).
 //! 3. [`Blob`] — what DISPERSE carries: a [`CertifiedMsg`] (AUTH-SEND),
 //!    relayed equivocation [`Blob::Evidence`] (PARTIAL-AGREEMENT step 3), or
 //!    a self-authenticating certificate delivery (URfr Part I step 4).
@@ -33,6 +35,10 @@ pub enum UlsWire {
     Disperse(DisperseMsg),
 }
 
+/// [`UlsWire`] tag bytes.
+const TAG_KEY_ANNOUNCE: u8 = 1;
+const TAG_DISPERSE: u8 = 2;
+
 impl UlsWire {
     /// Encodes into a shared [`Payload`] — for fan-out sites that send the
     /// same bytes to many peers: one allocation, refcounted clones.
@@ -50,8 +56,8 @@ pub enum DisperseMsg {
         origin: u32,
         /// Final destination.
         dst: u32,
-        /// Opaque cargo, shared (never re-copied) across fan-out, relay
-        /// duty, dedup, and inspection.
+        /// Opaque cargo, shared (never re-copied) across fan-out and
+        /// inspection.
         blob: InternedBlob,
     },
     /// Round 2: "forwarding `blob` from `origin`".
@@ -61,6 +67,105 @@ pub enum DisperseMsg {
         /// Opaque cargo (shared handle, as in `Forward`).
         blob: InternedBlob,
     },
+}
+
+/// A [`DisperseMsg`] read in place: the same fields, with the cargo borrowed
+/// from the envelope it arrived in. DISPERSE receives `n − 1` copies of
+/// every blob (Fig. 2) and keeps one; the view lets it compare the copies as
+/// bytes and allocate only the one it keeps. It is also the single
+/// definition of the encoding — [`DisperseMsg`] encodes and decodes through
+/// it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DisperseView<'a> {
+    /// See [`DisperseMsg::Forward`].
+    Forward {
+        /// Claimed originator.
+        origin: u32,
+        /// Final destination.
+        dst: u32,
+        /// The cargo bytes.
+        body: &'a [u8],
+    },
+    /// See [`DisperseMsg::Forwarding`].
+    Forwarding {
+        /// Claimed originator.
+        origin: u32,
+        /// The cargo bytes.
+        body: &'a [u8],
+    },
+}
+
+impl<'a> DisperseView<'a> {
+    /// Reads a physical payload as a DISPERSE message: `Some` exactly when
+    /// [`UlsWire::from_bytes`] returns `Ok(UlsWire::Disperse(_))`, with the
+    /// same fields.
+    pub fn parse(payload: &'a [u8]) -> Option<Self> {
+        let mut r = Reader::new(payload);
+        if r.get_u8().ok()? != TAG_DISPERSE {
+            return None;
+        }
+        let view = Self::decode(&mut r).ok()?;
+        (r.remaining() == 0).then_some(view)
+    }
+
+    fn decode(r: &mut Reader<'a>) -> Result<Self, WireError> {
+        match r.get_u8()? {
+            1 => Ok(DisperseView::Forward {
+                origin: r.get_u32()?,
+                dst: r.get_u32()?,
+                body: r.get_bytes_ref()?,
+            }),
+            2 => Ok(DisperseView::Forwarding {
+                origin: r.get_u32()?,
+                body: r.get_bytes_ref()?,
+            }),
+            t => Err(WireError::InvalidTag(t)),
+        }
+    }
+
+    /// Encodes as a complete physical payload — the bytes of the
+    /// corresponding `UlsWire::Disperse(_)`.
+    pub fn to_payload(&self) -> Payload {
+        let mut w = Writer::new();
+        w.put_u8(TAG_DISPERSE);
+        self.encode(&mut w);
+        w.into_bytes().into()
+    }
+}
+
+impl Encode for DisperseView<'_> {
+    fn encode(&self, w: &mut Writer) {
+        match *self {
+            DisperseView::Forward { origin, dst, body } => {
+                w.put_u8(1);
+                w.put_u32(origin);
+                w.put_u32(dst);
+                w.put_bytes(body);
+            }
+            DisperseView::Forwarding { origin, body } => {
+                w.put_u8(2);
+                w.put_u32(origin);
+                w.put_bytes(body);
+            }
+        }
+    }
+}
+
+impl DisperseMsg {
+    /// The borrowed form of this message.
+    pub fn view(&self) -> DisperseView<'_> {
+        match self {
+            DisperseMsg::Forward { origin, dst, blob } => DisperseView::Forward {
+                origin: *origin,
+                dst: *dst,
+                body: blob,
+            },
+            DisperseMsg::Forwarding { origin, blob } => DisperseView::Forwarding {
+                origin: *origin,
+                body: blob,
+            },
+        }
+    }
 }
 
 /// Cargo carried by DISPERSE.
@@ -202,12 +307,12 @@ impl Encode for UlsWire {
     fn encode(&self, w: &mut Writer) {
         match self {
             UlsWire::KeyAnnounce { unit, vk } => {
-                w.put_u8(1);
+                w.put_u8(TAG_KEY_ANNOUNCE);
                 w.put_u64(*unit);
                 vk.encode(w);
             }
             UlsWire::Disperse(d) => {
-                w.put_u8(2);
+                w.put_u8(TAG_DISPERSE);
                 d.encode(w);
             }
         }
@@ -217,11 +322,11 @@ impl Encode for UlsWire {
 impl Decode for UlsWire {
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         match r.get_u8()? {
-            1 => Ok(UlsWire::KeyAnnounce {
+            TAG_KEY_ANNOUNCE => Ok(UlsWire::KeyAnnounce {
                 unit: r.get_u64()?,
                 vk: Vec::<u8>::decode(r)?,
             }),
-            2 => Ok(UlsWire::Disperse(DisperseMsg::decode(r)?)),
+            TAG_DISPERSE => Ok(UlsWire::Disperse(DisperseMsg::decode(r)?)),
             t => Err(WireError::InvalidTag(t)),
         }
     }
@@ -229,36 +334,23 @@ impl Decode for UlsWire {
 
 impl Encode for DisperseMsg {
     fn encode(&self, w: &mut Writer) {
-        match self {
-            DisperseMsg::Forward { origin, dst, blob } => {
-                w.put_u8(1);
-                w.put_u32(*origin);
-                w.put_u32(*dst);
-                blob.encode(w);
-            }
-            DisperseMsg::Forwarding { origin, blob } => {
-                w.put_u8(2);
-                w.put_u32(*origin);
-                blob.encode(w);
-            }
-        }
+        self.view().encode(w);
     }
 }
 
 impl Decode for DisperseMsg {
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        match r.get_u8()? {
-            1 => Ok(DisperseMsg::Forward {
-                origin: r.get_u32()?,
-                dst: r.get_u32()?,
-                blob: InternedBlob::decode(r)?,
-            }),
-            2 => Ok(DisperseMsg::Forwarding {
-                origin: r.get_u32()?,
-                blob: InternedBlob::decode(r)?,
-            }),
-            t => Err(WireError::InvalidTag(t)),
-        }
+        Ok(match DisperseView::decode(r)? {
+            DisperseView::Forward { origin, dst, body } => DisperseMsg::Forward {
+                origin,
+                dst,
+                blob: body.into(),
+            },
+            DisperseView::Forwarding { origin, body } => DisperseMsg::Forwarding {
+                origin,
+                blob: body.into(),
+            },
+        })
     }
 }
 
@@ -324,8 +416,8 @@ impl Decode for Blob {
 }
 
 impl Blob {
-    /// Encodes into an interned, content-addressed blob — the handle
-    /// DISPERSE shares across every fan-out copy, relay, and dedup check.
+    /// Encodes into an interned blob — the handle DISPERSE shares across
+    /// every fan-out copy.
     pub fn intern(&self) -> InternedBlob {
         InternedBlob::from(self.to_bytes())
     }

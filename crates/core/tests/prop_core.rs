@@ -1,13 +1,14 @@
 //! Property tests for the core protocol components: wire-format fuzzing
-//! (decoders must never panic and must roundtrip), DISPERSE delivery
-//! invariants, PARTIAL-AGREEMENT's Lemma-16 property under arbitrary
-//! cheater behaviour, and CERTIFY/VER-CERT binding.
+//! (decoders must never panic and must roundtrip, the borrowed DISPERSE view
+//! must agree with the owned decoder), DISPERSE delivery invariants,
+//! PARTIAL-AGREEMENT's Lemma-16 property under arbitrary cheater behaviour
+//! and its evidence filter, and CERTIFY/VER-CERT binding.
 
 use proauth_core::certify::{certify, ver_cert, DestCheck, LocalKeys};
 use proauth_core::partition::{flat_min_breakins, Partition};
 use proauth_core::disperse::{DisperseLayer, DisperseMode};
 use proauth_core::pa::PaInstance;
-use proauth_core::wire::{Blob, CertifiedMsg, DisperseMsg, Inner, UlsWire};
+use proauth_core::wire::{Blob, CertifiedMsg, DisperseMsg, DisperseView, Inner, UlsWire};
 use proauth_crypto::group::{Group, GroupId};
 use proauth_crypto::schnorr::{Signature, SigningKey};
 use proauth_pds::msg::signing_payload;
@@ -50,6 +51,21 @@ fn certified_strategy() -> impl Strategy<Value = CertifiedMsg> {
         })
 }
 
+/// The borrowed DISPERSE view must read a payload exactly as the owned
+/// decoder does: `Some` iff that returns a `Disperse`, with equal fields.
+fn assert_view_matches_owned_decode(bytes: &[u8]) -> Result<(), TestCaseError> {
+    let owned = match UlsWire::from_bytes(bytes) {
+        Ok(UlsWire::Disperse(msg)) => Some(msg),
+        _ => None,
+    };
+    let view = DisperseView::parse(bytes);
+    prop_assert_eq!(view, owned.as_ref().map(DisperseMsg::view));
+    if let Some(view) = view {
+        prop_assert_eq!(&view.to_payload()[..], bytes, "encoding is canonical");
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -60,6 +76,37 @@ proptest! {
         let _ = Inner::from_bytes(&bytes);
         let _ = CertifiedMsg::from_bytes(&bytes);
         let _ = DisperseMsg::from_bytes(&bytes);
+        assert_view_matches_owned_decode(&bytes)?;
+    }
+
+    #[test]
+    fn disperse_view_agrees_with_owned_decode_on_mutated_encodings(
+        forward in any::<bool>(),
+        origin in any::<u32>(),
+        dst in any::<u32>(),
+        body in proptest::collection::vec(any::<u8>(), 0..40),
+        flips in proptest::collection::vec((any::<usize>(), 1u8..=255), 0..3),
+        cut in proptest::option::of(any::<usize>()),
+        tail in proptest::collection::vec(any::<u8>(), 0..3),
+    ) {
+        let msg = if forward {
+            DisperseMsg::Forward { origin, dst, blob: body.into() }
+        } else {
+            DisperseMsg::Forwarding { origin, blob: body.into() }
+        };
+        // A valid encoding, then damaged: flipped bytes (tags and length
+        // prefixes included), truncated, trailing bytes appended.
+        let mut bytes = UlsWire::Disperse(msg).to_bytes();
+        assert_view_matches_owned_decode(&bytes)?;
+        for (at, mask) in flips {
+            let at = at % bytes.len();
+            bytes[at] ^= mask;
+        }
+        if let Some(cut) = cut {
+            bytes.truncate(cut % (bytes.len() + 1));
+        }
+        bytes.extend_from_slice(&tail);
+        assert_view_matches_owned_decode(&bytes)?;
     }
 
     #[test]
@@ -93,22 +140,15 @@ proptest! {
         let out = sender.drain_outgoing();
         // One shared entry; the fan-out covers the relay.
         let to_relay = out.iter().find(|e| e.to.contains(&relay)).expect("fanout covers relay");
-        let UlsWire::Disperse(fwd) = UlsWire::from_bytes(&to_relay.payload).unwrap() else {
-            panic!("disperse expected")
-        };
         let mut relay_layer = DisperseLayer::new(relay, n, DisperseMode::Full);
-        relay_layer.begin_round();
-        prop_assert!(relay_layer.on_message(NodeId(1), fwd).is_none());
+        prop_assert!(relay_layer.receive([&to_relay.payload[..]]).is_empty());
         let fwds = relay_layer.drain_outgoing();
         prop_assert_eq!(fwds.len(), 1);
+        prop_assert_eq!(&fwds[0].to, &vec![dst]);
         // Destination receives it on the next round.
-        let UlsWire::Disperse(fw) = UlsWire::from_bytes(&fwds[0].payload).unwrap() else {
-            panic!()
-        };
         let mut dst_layer = DisperseLayer::new(dst, n, DisperseMode::Full);
-        dst_layer.begin_round();
-        let delivered = dst_layer.on_message(relay, fw);
-        prop_assert_eq!(delivered, Some((1u32, payload.into())));
+        let delivered = dst_layer.receive([&fwds[0].payload[..]]);
+        prop_assert_eq!(delivered, vec![(1u32, payload.into())]);
     }
 
     #[test]
@@ -158,6 +198,41 @@ proptest! {
         if n > (n + 1).div_ceil(2) {
             prop_assert!(honest_outputs.is_empty()
                 || honest_outputs.iter().any(|v| v == b"h"));
+        }
+    }
+
+    #[test]
+    fn pa_decides_the_same_from_only_the_evidence_that_matters(
+        n in 3usize..8,
+        // Step-1 value per (sender, receiver), from a pool of three: 0 is
+        // the honest input, so any sender may equivocate towards anyone.
+        step1 in proptest::collection::vec(0u8..3, 64),
+        cheaters in proptest::collection::vec(any::<bool>(), 8),
+        // The evidence stream, in arrival order: (certifier, value) pairs,
+        // true relays and adversarial inventions alike.
+        stream in proptest::collection::vec((1u32..9, 0u8..4), 0..60),
+    ) {
+        for recv in 1..=n as u32 {
+            let mut all = PaInstance::new(n);
+            for sender in 1..=n as u32 {
+                let v = if cheaters[sender as usize % 8] {
+                    step1[(sender as usize * 8 + recv as usize) % 64]
+                } else {
+                    0
+                };
+                all.on_accepted_value(sender, vec![v]);
+            }
+            all.fix_majority();
+            let mut filtered = all.clone();
+            for (certifier, v) in &stream {
+                all.on_evidence(*certifier, vec![*v]);
+                if filtered.evidence_matters(*certifier, &[*v]) {
+                    filtered.on_evidence(*certifier, vec![*v]);
+                }
+                // Not only at the end: after every item.
+                prop_assert_eq!(filtered.decide(), all.decide(), "node {}", recv);
+            }
+            prop_assert_eq!(filtered.decide(), all.decide(), "node {}", recv);
         }
     }
 

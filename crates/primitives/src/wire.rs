@@ -158,11 +158,18 @@ impl<'a> Reader<'a> {
 
     /// Reads a `u32`-length-prefixed byte string.
     pub fn get_bytes(&mut self) -> Result<Vec<u8>, WireError> {
+        self.get_bytes_ref().map(<[u8]>::to_vec)
+    }
+
+    /// Reads a `u32`-length-prefixed byte string in place: the same bytes
+    /// and errors as [`Reader::get_bytes`], borrowed from the input instead
+    /// of copied out of it.
+    pub fn get_bytes_ref(&mut self) -> Result<&'a [u8], WireError> {
         let len = self.get_u32()? as usize;
         if len > self.remaining() {
             return Err(WireError::BadLength);
         }
-        Ok(self.take(len)?.to_vec())
+        self.take(len)
     }
 
     /// Reads exactly `n` raw bytes.
@@ -365,9 +372,9 @@ impl Decode for BigUint {
 /// An interned, content-addressed byte blob.
 ///
 /// One allocation (`Arc<[u8]>`) shared by every holder — fan-out envelopes,
-/// relay duty, dedup tables, adversary inspection — plus a lazily computed
-/// SHA-256 digest cached next to the bytes, so content addressing costs one
-/// hash per blob no matter how many parties handle it.
+/// relay duty, adversary inspection — plus a lazily computed SHA-256 digest
+/// cached next to the bytes, so content addressing costs one hash per blob
+/// no matter how many parties handle it.
 ///
 /// Encodes byte-identically to `Vec<u8>` (`u32` length prefix + raw bytes):
 /// swapping a `Vec<u8>` wire field for an `InternedBlob` changes no encoding.
@@ -486,7 +493,7 @@ impl Encode for InternedBlob {
 
 impl Decode for InternedBlob {
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(InternedBlob::new(r.get_bytes()?))
+        Ok(InternedBlob::new(r.get_bytes_ref()?))
     }
 }
 
