@@ -5,15 +5,14 @@ cd "$(dirname "$0")"
 
 cargo build --release
 
-# The round engine must be invisible in results: the full suite runs once
-# with a single-worker pool and once with four workers (PROAUTH_THREADS
-# defaults SimConfig::parallel to true), and must pass identically. This
-# matrix includes the telemetry determinism gates — `golden_trace` (JSONL
-# flight-recorder trace byte-identical across engines, n = 13 under an
-# active adversary) and the telemetry-enabled `prop_engine_determinism`
-# variant — in both legs.
-PROAUTH_THREADS=1 cargo test -q
-PROAUTH_THREADS=4 cargo test -q
+# The whole suite, once. The round engine must be invisible in results, and
+# the suites that are the oracle for that set `parallel`/`threads` themselves
+# and compare against the serial run bit for bit: `prop_engine_determinism`
+# (1 / 2 / 8 helper threads × 16 seeds under an active adversary, telemetry
+# on and off, workload inputs, panicking nodes), `golden_trace` (the JSONL
+# flight-recorder trace at n = 13 under an active adversary, serial vs 1 and
+# 4 threads), `hierarchy` and `chaos::tests`.
+cargo test -q
 
 cargo clippy --workspace --all-targets -- -D warnings
 
@@ -28,10 +27,10 @@ bash benchmark/run.sh --smoke
 (cd benchmark && cargo test --offline -q)
 
 # Fixed-seed chaos smoke: the degradation ramp must demonstrate the (s,t)
-# boundary (sub-budget guarantees hold, over-budget degrades with alarms)
-# on both engines — the sweep is bit-deterministic across pool sizes.
-PROAUTH_THREADS=1 cargo run -q --release -p proauth-examples --bin proauth -- chaos --n 5 --units 3 --seed 42
-PROAUTH_THREADS=4 cargo run -q --release -p proauth-examples --bin proauth -- chaos --n 5 --units 3 --seed 42
+# boundary (sub-budget guarantees hold, over-budget degrades with alarms).
+# That a chaos run is bit-identical for any thread count is `chaos::tests`
+# and `prop_engine_determinism`, above.
+cargo run -q --release -p proauth-examples --bin proauth -- chaos --n 5 --units 3 --seed 42
 
 # Long chaos soak (release): the same boundary contract over a longer
 # horizon and several seeds, with a hard bound on re-certification latency.
@@ -43,17 +42,13 @@ cargo test -q -p proauth-tests --release --test chaos_soak -- --ignored
 # the wire, not run) ≥10×.
 cargo test -q -p proauth-core --release --test envelope_budget -- --ignored
 
-# One full refresh unit at n = 64 (was infeasible pre-bundling); records
-# throughput and peak RSS.
-PROAUTH_E11=n64 cargo bench -p proauth-bench --bench e11_system_throughput
-
-# §6 hierarchy smoke on both engine legs: cluster-local ULS stacks under
-# the top-level PDS — setup, steady-state heartbeat co-signing across a
-# refresh, authenticated cross-cluster transit with replay rejection, and
-# representative crash → deterministic re-election with the joint key
-# unchanged. Bit-determinism across pool sizes is asserted inside.
-PROAUTH_THREADS=1 cargo test -q -p proauth-tests --release --test hierarchy
-PROAUTH_THREADS=4 cargo test -q -p proauth-tests --release --test hierarchy
+# §6 hierarchy smoke: cluster-local ULS stacks under the top-level PDS —
+# setup, steady-state heartbeat co-signing across a refresh, authenticated
+# cross-cluster transit with replay rejection, and representative crash →
+# deterministic re-election with the joint key unchanged. The suite is its
+# own engine oracle: `hier_runs_bit_identical_across_pool_sizes` compares
+# the serial run with 1, 2 and 8 helper threads.
+cargo test -q -p proauth-tests --release --test hierarchy
 
 # The §6 headline asserted end to end (release): the hierarchy at n = 64
 # sends ≥3× fewer envelopes than the feasible flat configuration over an
@@ -75,15 +70,6 @@ cargo bench -p proauth-bench --bench e7_partition
 # every child and exits nonzero if any hung or died.
 timeout 300 cargo run -q --release -p proauth-examples --bin proauth -- \
     daemon --n 5 --units 2 --delay 20 --dup 5 --reorder 5 --round-ms 2000 --check
-
-# E13 signing-service smoke on both engine legs: the open-loop workload,
-# session table, nonce pool, and batch-verify window must hold their
-# throughput floor (4·signed ≥ 3·offered) and flip pool hit/miss counters
-# with preprocessing on/off. The full release ablation grid — preprocessing
-# × batch window × n, the ≥2× headline behind BENCH_e13.json — runs with
-# PROAUTH_E13=full (optionally CRITERION_JSON=BENCH_e13.json to re-emit it).
-PROAUTH_THREADS=1 cargo bench -p proauth-bench --bench e13_signing_service
-PROAUTH_THREADS=4 cargo bench -p proauth-bench --bench e13_signing_service
 
 # Observability smoke, clean leg: an adaptive daemon run must serve the live
 # status endpoint mid-run — beacons from every node (no "beacons":0 in the

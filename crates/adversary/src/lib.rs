@@ -14,6 +14,8 @@
 //! * [`sweep`] — the degradation sweep driver: ramp chaos intensity across
 //!   the `(s,t)` boundary and report graceful degradation.
 
+#![forbid(unsafe_code)]
+
 pub mod breakins;
 pub mod impersonation;
 pub mod limits;

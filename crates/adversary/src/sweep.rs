@@ -16,8 +16,8 @@
 //! The sweep is deterministic: every fault decision comes from the compiled
 //! [`proauth_sim::chaos::FaultSchedule`] or keyed per-round RNG, so a
 //! `(config, seed)` pair
-//! yields the same `Vec<SweepPoint>` on every run and every worker-pool
-//! size.
+//! yields the same `Vec<SweepPoint>` on every run and every engine thread
+//! count.
 
 use std::fmt;
 

@@ -2,9 +2,12 @@
 //!
 //! Shared infrastructure for the experiment harnesses that reproduce the
 //! paper's claims (see DESIGN.md §4 for the experiment index and
-//! EXPERIMENTS.md for recorded results). Each experiment is a bench target
-//! (`harness = false` for table-producing experiments, Criterion for timing
-//! ones), so `cargo bench` regenerates everything.
+//! EXPERIMENTS.md for recorded results). Each experiment is a
+//! `harness = false` bench target that prints its tables and asserts the
+//! lemma it reproduces, so `cargo bench` regenerates everything. Timings are
+//! not measured here: `benchmark/` (see `BENCHMARK.json`) is the one ruler.
+
+#![forbid(unsafe_code)]
 
 use proauth_core::authenticator::HeartbeatApp;
 use proauth_core::uls::{uls_schedule, UlsConfig, UlsNode, SETUP_ROUNDS};

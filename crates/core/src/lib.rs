@@ -26,6 +26,8 @@
 //! [`uls::UlsConfig`], spawn [`uls::UlsNode`]s in `proauth_sim::run_ul`, and
 //! authenticated communication survives break-ins and hostile links.
 
+#![forbid(unsafe_code)]
+
 pub mod authenticator;
 pub mod awareness;
 pub mod certify;

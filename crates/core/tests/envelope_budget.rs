@@ -1,8 +1,8 @@
 //! Envelope-budget regression tests: the refresh phase must stay within an
 //! O(n² · fanout) per-node envelope budget now that PA step-3 evidence rides
 //! `Blob::EvidenceBundle` (one DISPERSE send per destination per subject)
-//! instead of one send per majority member — the Θ(n³) wall this repo's E11
-//! experiment used to hit.
+//! instead of one send per majority member — the Θ(n³) wall the E11
+//! throughput experiment hit before bundling (EXPERIMENTS.md).
 //!
 //! The pre-bundle encoding is gone from the product, so the Θ(n³) figure the
 //! bundled run is compared against is computed, not run: every evidence

@@ -79,7 +79,7 @@ impl Commitments {
     }
 
     /// `g^{f(i)}` along the seed code path (a loop of sequential modpows).
-    /// Kept for the E9 ablation and the property tests.
+    /// Kept as the property tests' reference.
     pub fn eval_in_exponent_naive(&self, group: &Group, i: u32) -> BigUint {
         let pairs = self.eval_pairs(group, i);
         let mut acc = group.identity();
@@ -111,7 +111,7 @@ impl Commitments {
     }
 
     /// Share verification along the seed code path (see
-    /// [`Self::eval_in_exponent_naive`]); the E9 ablation baseline.
+    /// [`Self::eval_in_exponent_naive`]); the property tests' reference.
     pub fn verify_share_in_naive(&self, group: &Group, i: u32, share: &BigUint) -> bool {
         if share >= group.q() {
             return false;

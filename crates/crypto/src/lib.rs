@@ -9,8 +9,6 @@
 //! * [`schnorr`] — the centralized EUF-CMA scheme `CS` of §4.
 //! * [`shamir`] — secret sharing / Lagrange interpolation over `Z_q`.
 //! * [`feldman`] — verifiable secret sharing (coefficient commitments).
-//! * [`pedersen`] — Pedersen commitments/VSS (the information-theoretically
-//!   hiding alternative the paper's cited instantiations use).
 //! * [`dkg`] — joint-Feldman distributed key generation.
 //! * [`thresh`] — robust threshold Schnorr signing (the `ASign` of an
 //!   AL-model PDS per Theorem 13).
@@ -21,9 +19,10 @@
 //! transitions. Driving them over a network (AL or UL model) is the job of
 //! `proauth-pds` and `proauth-core`.
 
+#![forbid(unsafe_code)]
+
 pub mod dkg;
 pub mod feldman;
-pub mod pedersen;
 pub mod group;
 pub mod refresh;
 pub mod schnorr;

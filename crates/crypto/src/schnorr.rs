@@ -125,8 +125,8 @@ impl VerifyKey {
     }
 
     /// Verifies `sig` over `msg` along the seed code path (two sequential
-    /// binary exponentiations). Kept for the E9 ablation and the
-    /// batch/property tests' reference semantics.
+    /// binary exponentiations). Kept for the batch/property tests'
+    /// reference semantics.
     pub fn verify_naive(&self, msg: &[u8], sig: &Signature) -> bool {
         if sig.e >= *self.group.q() || sig.s >= *self.group.q() {
             return false;

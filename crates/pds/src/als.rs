@@ -180,7 +180,8 @@ impl AlsPds {
     /// fixed-base table cache so the online verification multi-exps run
     /// squaring-free from the first session. Retries against other signer
     /// sets memoize on first use instead. No-op when preprocessing is off,
-    /// which is what keeps the E13 ablation's baseline leg honest.
+    /// which keeps the off setting an honest reference
+    /// (`tests/concurrent_sessions.rs`).
     fn warm_offline(&mut self) {
         let expected: Vec<u32> = (1..=self.cfg.t as u32 + 1).collect();
         if let Some(pre) = &mut self.lagrange {

@@ -18,6 +18,8 @@
 //! The UL-model transformation of these schemes (Theorem 14) lives in
 //! `proauth-core`.
 
+#![forbid(unsafe_code)]
+
 pub mod api;
 pub mod als;
 pub mod als_node;

@@ -502,7 +502,7 @@ impl BigUint {
 
     /// Generic square-and-multiply modular exponentiation (one Knuth
     /// division per step). Works for every modulus; kept public as the
-    /// reference implementation and for the E9 ablation bench.
+    /// reference implementation the property tests compare against.
     ///
     /// # Panics
     ///

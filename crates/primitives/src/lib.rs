@@ -25,6 +25,8 @@
 //! let _digest = Sha256::digest(b"hello");
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod bigint;
 pub mod hex;
 pub mod hmac;

@@ -7,8 +7,8 @@
 //! cutting each step to two schoolbook multiplications plus carries.
 //!
 //! [`BigUint::modpow`] dispatches here automatically for odd multi-limb
-//! moduli; the bench `e9_crypto` includes the ablation
-//! (`modpow_generic` vs `modpow_montgomery`).
+//! moduli; `prop_montgomery` pins it to `modpow_generic`, and the
+//! `primitives.montgomery.*` rows of `BENCHMARK.json` time it.
 //!
 //! # Examples
 //!
@@ -251,9 +251,8 @@ impl Montgomery {
     /// `base^exp mod m` using plain left-to-right binary square-and-multiply
     /// in the Montgomery domain.
     ///
-    /// This is the pre-windowing code path, kept as the E9 ablation baseline
-    /// (`modpow_montgomery_cached` in `e9_crypto`) and as the windowed
-    /// routine's short-exponent fallback.
+    /// This is the pre-windowing code path, kept as the property tests'
+    /// reference and as the windowed routine's short-exponent fallback.
     pub fn modpow_binary(&self, base: &BigUint, exp: &BigUint) -> BigUint {
         let bits = exp.bits();
         if bits == 0 {

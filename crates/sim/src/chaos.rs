@@ -14,7 +14,7 @@
 //! schedules are precompiled, per-round randomness is derived by hashing
 //! `(seed, round)` rather than streamed, and all decisions run on the engine
 //! thread. Same seed ⇒ bit-identical [`crate::runner::SimResult`] and trace
-//! across serial and pooled execution, like every other adversary.
+//! across serial and parallel execution, like every other adversary.
 //!
 //! Crash semantics (vs break-ins, Definitions 4–7): a crashed node does not
 //! execute and its pending traffic is *discarded*, not diverted — the
@@ -694,8 +694,8 @@ mod tests {
         assert_eq!(serial.stats.crashed_rounds[NodeId(2).idx()], 8);
         // The run completed: the other nodes kept sending every round.
         assert_eq!(serial.stats.messages_sent, 3 * 2 * 12 - 2 * 8);
-        // The pool engine converts the panic identically.
-        let pooled = run(true);
-        assert_eq!(serial, pooled);
+        // The parallel engine converts the panic identically.
+        let parallel = run(true);
+        assert_eq!(serial, parallel);
     }
 }

@@ -11,7 +11,6 @@
 //!   schedules, chaotic delivery, and the panic→crash test hook;
 //! * [`reliability`] — link reliability (Def. 4) and `s`-operational
 //!   tracking (Defs. 5–6) from ground truth;
-//! * [`pool`] — the persistent worker pool behind the parallel round engine;
 //! * [`runner`] — the AL/UL execution engines ([`runner::run_al`],
 //!   [`runner::run_ul`]).
 //!
@@ -19,11 +18,13 @@
 //! set [`runner::SimConfig::telemetry`] (or `PROAUTH_TRACE=path`) and the
 //! engine emits a deterministic JSONL flight-recorder trace plus a metrics
 //! registry, with per-node shards merged in `NodeId` order so results and
-//! traces stay bit-identical across worker-pool sizes.
+//! traces stay bit-identical across engine thread counts.
 //!
 //! The simulator is fully deterministic given a seed: node randomness is
 //! derived per (node, round) outside corruptible state, matching the paper's
 //! `r_{i,w}` formalization.
+
+#![deny(unsafe_code)]
 
 pub mod adversary;
 pub mod chaos;
@@ -31,7 +32,6 @@ pub mod clock;
 pub mod driver;
 pub mod message;
 pub mod net;
-pub mod pool;
 pub mod process;
 pub mod reliability;
 pub mod report;
@@ -45,7 +45,6 @@ pub use chaos::{ChaosConfig, ChaosNet, FaultSchedule, PanicOn, ProcessFaultPlan}
 pub use driver::{NodeDriver, ProcessDriver, StepReport};
 pub use clock::{Phase, Schedule, TimeView};
 pub use message::{Envelope, NodeId, OutputEvent, OutputLog, Payload};
-pub use pool::WorkerPool;
 pub use process::{Process, Rom, RoundCtx, SetupCtx};
 pub use reliability::{OperationalRule, OperationalTracker, PairMatrix};
 pub use proauth_telemetry::Telemetry;

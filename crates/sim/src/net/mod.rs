@@ -38,6 +38,8 @@ pub mod daemon;
 pub mod frame;
 pub mod msg;
 pub mod peer;
+// The poll(2) FFI shim is the one exception to the crate-level deny.
+#[allow(unsafe_code)]
 pub mod poll;
 pub mod proxy;
 pub mod state;

@@ -185,6 +185,9 @@ pub struct ProxyStats {
     pub marks: u64,
     /// Node links reset mid-frame (socket-reset chaos).
     pub resets: u64,
+    /// Setup/round frames dropped because their destination — bytes chosen
+    /// by the sender, who may be broken — names no other node of the network.
+    pub rejected: u64,
 }
 
 /// Chaos proxy deployment parameters.
@@ -412,6 +415,14 @@ impl Proxy {
     /// Routes one frame received from `from`, applying chaos to round
     /// traffic.
     fn route(&mut self, from: NodeId, msg: NetMsg) {
+        // `NodeId::decode` rejects 0; whether `to` is one of the *other* n
+        // nodes only the hub can tell, and it indexes per-node tables by it.
+        if let NetMsg::Setup { to, .. } | NetMsg::Round { to, .. } = &msg {
+            if to.0 == 0 || to.0 as usize > self.cfg.n || *to == from {
+                self.stats.rejected += 1;
+                return;
+            }
+        }
         match msg {
             NetMsg::Hello { .. } => {}
             // Setup traffic: faithful, immediate.
@@ -427,7 +438,7 @@ impl Proxy {
                 if decision.delay_rounds > 0 {
                     self.stats.delayed += 1;
                     self.held
-                        .entry(round + decision.delay_rounds)
+                        .entry(round.saturating_add(decision.delay_rounds))
                         .or_default()
                         .push((to, msg));
                     return;
@@ -595,6 +606,93 @@ mod tests {
         // Outside the window: untouched.
         assert_eq!(spec.decide(20, NodeId(1), NodeId(5), 0).delay_rounds, 0);
         assert_eq!(spec.decide(9, NodeId(1), NodeId(5), 0).delay_rounds, 0);
+    }
+
+    /// Frames parked anywhere in the proxy for `to`: link-down backlog, held
+    /// for a later round, or stashed for a swap.
+    fn parked(proxy: &Proxy, to: NodeId) -> usize {
+        proxy.pending[to.idx()].len()
+            + proxy.held.values().flatten().filter(|(dest, _)| *dest == to).count()
+            + usize::from(proxy.stash[to.idx()].is_some())
+    }
+
+    #[test]
+    fn frames_addressed_outside_the_network_are_rejected_not_indexed() {
+        // No node ever connects: `route` is driven directly, so every frame
+        // the proxy accepts ends up parked somewhere for its destination.
+        let n = 3;
+        let dir = std::env::temp_dir().join(format!("proauth-proxy-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut proxy = Proxy::bind(ProxyConfig {
+            n,
+            plan: AddrPlan::Unix { dir: dir.clone() },
+            spec: ChaosNetSpec {
+                seed: 9,
+                delay_pct: 40,
+                delay_max: 3,
+                dup_pct: 40,
+                reorder_pct: 40,
+                reset_pct: 0,
+                partition: None,
+            },
+            run_id: 0,
+            idle_timeout_ms: 1_000,
+        })
+        .unwrap();
+        let from = NodeId(1);
+        let round_to = |round: u64, seq: u32, to: NodeId| NetMsg::Round {
+            round,
+            seq,
+            from,
+            to,
+            payload: vec![seq as u8],
+        };
+
+        // Enough sequence numbers to take every chaos path.
+        let seqs = 0..32u32;
+        for seq in seqs.clone() {
+            for to in [NodeId(n as u32 + 1), NodeId(u32::MAX), from] {
+                proxy.route(from, round_to(3, seq, to));
+                proxy.route(
+                    from,
+                    NetMsg::Setup {
+                        setup_round: 0,
+                        seq,
+                        from,
+                        to,
+                        payload: vec![seq as u8],
+                    },
+                );
+            }
+        }
+        assert_eq!(proxy.stats.rejected, 32 * 3 * 2);
+        assert_eq!(
+            ProxyStats {
+                rejected: 0,
+                ..proxy.stats
+            },
+            ProxyStats::default(),
+            "a rejected frame takes no chaos path"
+        );
+        assert!(NodeId::all(n).all(|id| parked(&proxy, id) == 0));
+        assert!(proxy.held.is_empty());
+
+        // A round number from the same untrusted frame must not overflow the
+        // release key; well-formed frames still reach their destination's
+        // queues, duplicates included.
+        let to = NodeId(2);
+        for seq in seqs {
+            proxy.route(from, round_to(u64::MAX, seq, to));
+            proxy.route(from, round_to(3, seq, to));
+        }
+        assert!(proxy.stats.delayed > 0 && proxy.held.contains_key(&u64::MAX));
+        assert!(proxy.stats.duplicated > 0 && proxy.stats.reordered > 0);
+        assert_eq!(parked(&proxy, to), 64 + proxy.stats.duplicated as usize);
+        assert_eq!(parked(&proxy, NodeId(3)), 0);
+        assert_eq!(proxy.stats.rejected, 32 * 3 * 2);
+
+        drop(proxy);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -23,7 +23,6 @@
 //! matching the counts used in the proofs of Lemmas 15 and 20.
 
 use crate::message::{Envelope, NodeId};
-use crate::pool::WorkerPool;
 
 /// A symmetric boolean matrix over node pairs.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -87,27 +86,9 @@ pub fn link_reliability(
     m
 }
 
-/// [`link_reliability`] with the rows computed on a worker pool. Rows are
-/// independent and the per-entry formula is symmetric, so the result is
-/// identical to the serial computation.
-pub fn link_reliability_pooled(
-    n: usize,
-    sent: &[Envelope],
-    delivered: &[Envelope],
-    broken: &[bool],
-    pool: &mut WorkerPool,
-) -> PairMatrix {
-    let ctx = PairContext::new(n, sent, delivered);
-    let mut m = PairMatrix::filled(n, true);
-    let mut rows: Vec<&mut [bool]> = m.bits.chunks_mut(n).collect();
-    pool.for_each_mut(&mut rows, |a, row| ctx.fill_row(n, a, broken, row));
-    drop(rows);
-    m
-}
-
-/// Per-directed-pair payload multisets, shared by the serial and pooled
-/// reliability computations. Payload order within a pair is irrelevant in a
-/// synchronous round, so the lists are kept sorted for multiset comparison.
+/// Per-directed-pair payload multisets behind [`link_reliability`]. Payload
+/// order within a pair is irrelevant in a synchronous round, so the lists are
+/// kept sorted for multiset comparison.
 struct PairContext<'a> {
     sent_by_pair: Vec<Vec<&'a [u8]>>,
     dlv_by_pair: Vec<Vec<&'a [u8]>>,
@@ -134,8 +115,8 @@ impl<'a> PairContext<'a> {
 
     /// Fills row `a` of the reliability matrix: entry `{a,b}` holds iff
     /// neither endpoint is broken and both directions matched exactly. The
-    /// formula is symmetric in `(a, b)`, so rows can be filled independently
-    /// (in any order, on any thread) and still produce a symmetric matrix.
+    /// formula is symmetric in `(a, b)`, so filling row by row still produces
+    /// a symmetric matrix.
     fn fill_row(&self, n: usize, a: usize, broken: &[bool], row: &mut [bool]) {
         for (b, cell) in row.iter_mut().enumerate() {
             *cell = a == b
@@ -240,21 +221,6 @@ impl OperationalTracker {
         in_refresh: bool,
         refresh_end: bool,
     ) {
-        self.on_round_pooled(broken, reliable, in_refresh, refresh_end, None);
-    }
-
-    /// [`OperationalTracker::on_round`] with the per-node induction step
-    /// (rule 2) distributed over a worker pool. Each node's new status
-    /// depends only on the *previous* round's set — snapshotted before the
-    /// update — so the result is identical for any worker count.
-    pub fn on_round_pooled(
-        &mut self,
-        broken: &[bool],
-        reliable: &PairMatrix,
-        in_refresh: bool,
-        refresh_end: bool,
-        pool: Option<&mut WorkerPool>,
-    ) {
         let need = self.n.saturating_sub(self.s);
         if !self.started {
             // Rule 1: in the first round, operational = not broken.
@@ -292,15 +258,8 @@ impl OperationalTracker {
                     OperationalRule::MainText => reliable_ops >= need,
                 }
             };
-            match pool {
-                Some(pool) => {
-                    pool.for_each_mut(&mut self.operational, |a_idx, op| *op = step(a_idx));
-                }
-                None => {
-                    for (a_idx, op) in self.operational.iter_mut().enumerate() {
-                        *op = step(a_idx);
-                    }
-                }
+            for (a_idx, op) in self.operational.iter_mut().enumerate() {
+                *op = step(a_idx);
             }
         }
 

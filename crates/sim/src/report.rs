@@ -10,7 +10,7 @@ use std::fmt;
 use std::fmt::Write as _;
 use std::time::Duration;
 
-/// Wall-clock throughput of a run, for benchmark reporting (experiment E11).
+/// Wall-clock throughput of a run, for benchmark reporting.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ThroughputSummary {
     /// Rounds executed per second.

@@ -45,13 +45,13 @@ use crate::adversary::{AlAdversary, BreakPlan, NetView, UlAdversary};
 use crate::clock::{Phase, Schedule, TimeView};
 use crate::driver;
 use crate::message::{Envelope, NodeId, OutboxEntry, OutputEvent, OutputLog};
-use crate::pool::{self, WorkerPool};
 use crate::process::{Process, Rom};
 use crate::reliability::{
-    link_reliability, link_reliability_pooled, ClusterTrackers, OperationalRule,
-    OperationalTracker, PairMatrix,
+    link_reliability, ClusterTrackers, OperationalRule, OperationalTracker, PairMatrix,
 };
 use proauth_telemetry::{self as telemetry, PhaseTimer, Shard, Telemetry};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 use std::time::Instant;
 
 /// Simulation parameters shared by both models.
@@ -74,17 +74,15 @@ pub struct SimConfig {
     pub rule: OperationalRule,
     /// Record the full per-round transcript (memory-heavy).
     pub record_transcript: bool,
-    /// Execute honest nodes on a persistent worker pool each round. Results
-    /// are bit-identical to sequential execution for any worker count
-    /// (per-node state is disjoint, randomness is derived per (node, round),
-    /// and per-worker results are merged in `NodeId` order); useful when node
-    /// computation (big-group crypto) dominates.
-    ///
-    /// Defaults to `true` when the `PROAUTH_THREADS` environment variable is
-    /// set, so the whole test suite can be swept across pool sizes.
+    /// Step each round's honest nodes on scoped helper threads beside the
+    /// engine thread instead of one after another. Results are bit-identical
+    /// to sequential execution for any thread count (per-node state is
+    /// disjoint, randomness is derived per (node, round), and per-node
+    /// results are merged in `NodeId` order); useful when node computation
+    /// (big-group crypto) dominates. Off by default.
     pub parallel: bool,
-    /// Worker-pool size when `parallel` is set. `0` = auto: the
-    /// `PROAUTH_THREADS` environment variable, else available parallelism.
+    /// Helper threads beside the engine thread when `parallel` is set (so
+    /// `threads + 1` executors). `0` = auto: available parallelism.
     pub threads: usize,
     /// Telemetry handle for the run: metrics registry plus optional JSONL
     /// flight recorder. Off by default (near-zero cost — instrumented call
@@ -117,7 +115,7 @@ impl SimConfig {
             total_rounds: schedule.unit_rounds * 3,
             rule: OperationalRule::default(),
             record_transcript: false,
-            parallel: pool::env_threads().is_some(),
+            parallel: false,
             threads: 0,
             telemetry: Telemetry::from_env(),
             clusters: None,
@@ -149,19 +147,15 @@ impl GroundTruth {
         }
     }
 
-    fn on_round_pooled(
+    fn on_round(
         &mut self,
         broken: &[bool],
         reliable: &PairMatrix,
         in_refresh: bool,
         refresh_end: bool,
-        pool: Option<&mut WorkerPool>,
     ) {
         match self {
-            GroundTruth::Flat(t) => t.on_round_pooled(broken, reliable, in_refresh, refresh_end, pool),
-            // Clusters are ≈√n-sized: the per-cluster induction is too small
-            // to be worth the pool handshake, and serial execution keeps it
-            // trivially identical across worker counts.
+            GroundTruth::Flat(t) => t.on_round(broken, reliable, in_refresh, refresh_end),
             GroundTruth::Clustered(t) => t.on_round(broken, reliable, in_refresh, refresh_end),
         }
     }
@@ -381,10 +375,10 @@ enum Model {
 }
 
 /// One honest node's work for a round: disjoint `&mut` access to its state
-/// plus the round's inputs and reusable outbox buffer. Slots are what the
-/// worker pool distributes; every result a job produces lands back in its
-/// slot and is merged by the engine in `NodeId` order, which is what keeps
-/// the parallel path bit-identical to the serial one.
+/// plus the round's inputs and reusable outbox buffer. Slots are what
+/// [`step_parallel`] hands to its threads; every result a step produces lands
+/// back in its slot and is merged by the engine in `NodeId` order, which is
+/// what keeps the parallel path bit-identical to the serial one.
 struct NodeSlot<'a, P> {
     id: NodeId,
     node: &'a mut P,
@@ -407,12 +401,12 @@ struct NodeSlot<'a, P> {
 /// randomness derivation, context construction, panic→crash conversion,
 /// incremental alert accounting — is [`driver::step_round`], shared verbatim
 /// with the socket daemon; this wrapper only adds the engine's telemetry
-/// shard plumbing. Free function so the serial path and the pool jobs share
-/// the exact same code.
+/// shard plumbing. Free function so the serial path and the helper threads
+/// share the exact same code.
 fn exec_slot<P: Process>(seed: u64, time: TimeView, n: usize, slot: &mut NodeSlot<'_, P>) {
     // Install the slot's telemetry shard as this thread's recording scope,
-    // saving whatever was there: the publisher thread participates in pool
-    // batches while holding the engine-side shard, so scopes must nest.
+    // saving whatever was there: the engine thread steps slots too while
+    // holding the engine-side shard, so scopes must nest.
     let scoped = slot.shard.is_some();
     let prev = if scoped {
         let mut shard = slot.shard.take().expect("shard present");
@@ -440,9 +434,45 @@ fn exec_slot<P: Process>(seed: u64, time: TimeView, n: usize, slot: &mut NodeSlo
     }
 }
 
-/// Node count below which the ground-truth computations (link matrix rows,
-/// operational induction) are not worth shipping to the pool.
-const POOLED_GROUND_TRUTH_MIN_N: usize = 24;
+/// The parallel arm of [`Engine::round`]: steps `slots` on `threads` scoped
+/// helper threads (`0` = available parallelism) plus the calling thread.
+/// Executors claim slot indices from one shared counter — node steps are
+/// uneven (wiped nodes do less, recovering ones more), so static chunks would
+/// wait for their slowest member. Each slot sits behind its own `Mutex`,
+/// never contended because an index is claimed once; its only job is to turn
+/// a claimed index into a `&mut` in safe code. A spawn that fails is
+/// ignored: the calling thread runs the same loop and drains whatever the
+/// helpers did not take. Step panics never get here (`driver::step_round`
+/// converts them into crash-stops); any other panic propagates out of the
+/// scope.
+fn step_parallel<P: Process + Send>(
+    threads: usize,
+    seed: u64,
+    time: TimeView,
+    n: usize,
+    slots: &mut [NodeSlot<'_, P>],
+) {
+    let helpers = match threads {
+        0 => std::thread::available_parallelism().map_or(1, usize::from),
+        t => t,
+    };
+    let cells: Vec<Mutex<&mut NodeSlot<'_, P>>> = slots.iter_mut().map(Mutex::new).collect();
+    // Relaxed: the counter publishes nothing but the index itself; a slot's
+    // data is ordered by its `Mutex` and by the scope's join.
+    let next = AtomicUsize::new(0);
+    let drain = || {
+        while let Some(cell) = cells.get(next.fetch_add(1, Ordering::Relaxed)) {
+            exec_slot(seed, time, n, &mut cell.lock().expect("slot index claimed once"));
+        }
+    };
+    std::thread::scope(|scope| {
+        // A helper per slot beyond the first is the most that can find work.
+        for _ in 0..helpers.min(cells.len().saturating_sub(1)) {
+            let _ = std::thread::Builder::new().spawn_scoped(scope, drain);
+        }
+        drain();
+    });
+}
 
 /// Internal engine shared by [`run_al`] and [`run_ul`].
 struct Engine<'f, P> {
@@ -492,9 +522,6 @@ struct Engine<'f, P> {
     transcript: Option<Vec<RoundRecord>>,
     /// Previous "impaired" status used for output lines.
     prev_impaired: Vec<bool>,
-    /// The persistent worker pool (present iff `cfg.parallel`); lives for
-    /// the whole run instead of spawning threads every round.
-    pool: Option<WorkerPool>,
     /// Per-node telemetry shards (present iff telemetry is on), recycled
     /// like the outbox buffers and merged in `NodeId` order each round.
     shards: Vec<Option<Shard>>,
@@ -556,11 +583,6 @@ impl<'f, P: Process + Send> Engine<'f, P> {
                 None
             },
             prev_impaired: vec![false; n],
-            pool: if cfg.parallel {
-                Some(WorkerPool::new(cfg.threads))
-            } else {
-                None
-            },
             shards: (0..n).map(|_| cfg.telemetry.new_shard()).collect(),
             engine_shard: cfg.telemetry.new_shard(),
             phase_timer: PhaseTimer::new(),
@@ -698,8 +720,8 @@ impl<'f, P: Process + Send> Engine<'f, P> {
         }
         // Engine-side recording scope: adversary callbacks (corrupt, the
         // deliver boundary) run on this thread outside any node scope.
-        // Node jobs save/restore it (see `exec_slot`), so the publisher
-        // thread participating in pool batches cannot clobber it.
+        // Node steps save/restore it (see `exec_slot`), so this thread
+        // stepping slots in the parallel section cannot clobber it.
         let adv_prev = tele_on.then(|| {
             let shard = self.take_adv_shard(round);
             telemetry::install(shard)
@@ -726,15 +748,14 @@ impl<'f, P: Process + Send> Engine<'f, P> {
 
         // Honest nodes execute; broken nodes' inboxes divert to the adversary.
         // Inputs are sampled serially in NodeId order (the provider may be
-        // stateful), then nodes run either sequentially or on the pool — the
-        // result is identical: per-node state is disjoint, randomness is
+        // stateful), then nodes run either sequentially or on scoped threads
+        // — the result is identical: per-node state is disjoint, randomness is
         // derived per (node, round), and slot results are merged in NodeId
         // order, so execution order cannot matter.
         let mut broken_inboxes: Vec<Envelope> = Vec::new();
         let seed = self.cfg.seed;
         let sent_before = self.stats.messages_sent;
         let mut round_alerts = 0u64;
-        let mut pool = self.pool.take();
         {
             let mut slots: Vec<NodeSlot<'_, P>> = Vec::with_capacity(n);
             for (((idx, node), output), rom) in self
@@ -772,14 +793,11 @@ impl<'f, P: Process + Send> Engine<'f, P> {
                     shard: self.shards[idx].take(),
                 });
             }
-            match pool.as_mut() {
-                Some(pool) => {
-                    pool.for_each_mut(&mut slots, |_, slot| exec_slot(seed, time, n, slot));
-                }
-                None => {
-                    for slot in &mut slots {
-                        exec_slot(seed, time, n, slot);
-                    }
+            if self.cfg.parallel {
+                step_parallel(self.cfg.threads, seed, time, n, &mut slots);
+            } else {
+                for slot in &mut slots {
+                    exec_slot(seed, time, n, slot);
                 }
             }
             // Merge in slot (= NodeId) order and recycle the buffers. This
@@ -827,7 +845,6 @@ impl<'f, P: Process + Send> Engine<'f, P> {
                 self.outboxes[idx] = slot.outbox;
             }
         }
-        self.pool = pool;
 
         // Delivery under the model's rules (rushing: adversary sees `sent`).
         let delivered = {
@@ -858,31 +875,19 @@ impl<'f, P: Process + Send> Engine<'f, P> {
             self.cfg.telemetry.add("adversary/modified", modified);
         }
 
-        // Ground truth: reliability + operational set. Both are row-/node-
-        // parallel; only worth the handshake at larger n. Crashed nodes are
+        // Ground truth: reliability + operational set. Crashed nodes are
         // merged into the impairment the ground truth sees: a silent node's
         // links would otherwise count as trivially reliable, and Definition-7
         // accounting must charge crashed rounds like broken ones.
         self.impaired_buf.clear();
         self.impaired_buf
             .extend(self.broken.iter().zip(&self.crashed).map(|(b, c)| *b || *c));
-        let pooled_truth = n >= POOLED_GROUND_TRUTH_MIN_N;
-        let reliability: PairMatrix = match self.pool.as_mut() {
-            Some(pool) if pooled_truth => {
-                link_reliability_pooled(n, &self.sent_buf, &delivered, &self.impaired_buf, pool)
-            }
-            _ => link_reliability(n, &self.sent_buf, &delivered, &self.impaired_buf),
-        };
-        self.tracker.on_round_pooled(
+        let reliability = link_reliability(n, &self.sent_buf, &delivered, &self.impaired_buf);
+        self.tracker.on_round(
             &self.impaired_buf,
             &reliability,
             self.cfg.schedule.in_refresh(round),
             self.cfg.schedule.is_refresh_end(round),
-            if pooled_truth {
-                self.pool.as_mut()
-            } else {
-                None
-            },
         );
         if tele_on && !self.cluster_tele_keys.is_empty() {
             if let GroundTruth::Clustered(ct) = &self.tracker {
@@ -1596,5 +1601,175 @@ mod parallel_tests {
         assert_eq!(seq.stats.messages_sent, par.stats.messages_sent);
         assert_eq!(seq.stats.bytes_sent, par.stats.bytes_sent);
         assert_eq!(seq.final_operational, par.final_operational);
+    }
+
+    /// Counts its own steps, in its state and in the ambient telemetry scope.
+    struct Counter {
+        steps: u64,
+    }
+
+    impl Process for Counter {
+        fn on_setup_round(&mut self, _ctx: &mut SetupCtx<'_>) {}
+        fn on_round(&mut self, ctx: &mut RoundCtx<'_>) {
+            self.steps += 1;
+            telemetry::count("test/step", 1);
+            ctx.send_all(vec![self.steps as u8]);
+        }
+        fn state_mut(&mut self) -> &mut dyn Any {
+            self
+        }
+    }
+
+    /// The engine state `k` slots borrow from, for driving
+    /// [`step_parallel`] directly.
+    struct Fixture {
+        nodes: Vec<Counter>,
+        outputs: Vec<OutputLog>,
+        roms: Vec<Rom>,
+    }
+
+    impl Fixture {
+        fn new(k: usize) -> Self {
+            Fixture {
+                nodes: (0..k).map(|_| Counter { steps: 0 }).collect(),
+                outputs: vec![Vec::new(); k],
+                roms: vec![Rom::new(); k],
+            }
+        }
+
+        fn slots(&mut self, tele: &Telemetry) -> Vec<NodeSlot<'_, Counter>> {
+            self.nodes
+                .iter_mut()
+                .zip(&mut self.outputs)
+                .zip(&self.roms)
+                .enumerate()
+                .map(|(idx, ((node, output), rom))| NodeSlot {
+                    id: NodeId::from_idx(idx),
+                    node,
+                    output,
+                    rom,
+                    inbox: Vec::new(),
+                    input: None,
+                    outbox: Vec::new(),
+                    alerts: 0,
+                    panicked: false,
+                    shard: tele.new_shard(),
+                })
+                .collect()
+        }
+    }
+
+    fn time_at(round: u64) -> TimeView {
+        TimeView::at(&Schedule::new(10, 2, 2), round)
+    }
+
+    #[test]
+    fn every_slot_is_stepped_exactly_once() {
+        // More helpers than slots, fewer, one slot, none; 0 = auto.
+        for threads in [0usize, 1, 2, 8] {
+            for k in [0usize, 1, 3, 20] {
+                let mut fx = Fixture::new(k);
+                let mut slots = fx.slots(&Telemetry::off());
+                step_parallel(threads, 5, time_at(0), k, &mut slots);
+                for slot in &slots {
+                    assert!(!slot.panicked);
+                    assert_eq!(slot.outbox.len(), usize::from(k > 1));
+                }
+                drop(slots);
+                assert!(
+                    fx.nodes.iter().all(|node| node.steps == 1),
+                    "threads {threads}, {k} slots"
+                );
+            }
+        }
+    }
+
+    /// Breaks every node for rounds 2–3, releases node 1 alone for rounds
+    /// 4–5 and the rest from round 6: rounds with no slot and with one.
+    struct BreakAll;
+
+    impl UlAdversary for BreakAll {
+        fn plan(&mut self, view: &NetView<'_>) -> BreakPlan {
+            match view.time.round {
+                2 => BreakPlan::break_into(NodeId::all(view.n)),
+                4 => BreakPlan::leave([NodeId(1)]),
+                6 => BreakPlan::leave(NodeId::all(view.n).skip(1)),
+                _ => BreakPlan::none(),
+            }
+        }
+        fn corrupt(&mut self, _node: NodeId, _state: &mut dyn Any, _time: &TimeView) {}
+        fn deliver(&mut self, sent: &[Envelope], _view: &NetView<'_>) -> Vec<Envelope> {
+            sent.to_vec()
+        }
+    }
+
+    fn cfg(n: usize, threads: Option<usize>) -> SimConfig {
+        let mut c = SimConfig::new(n, 2, Schedule::new(10, 2, 2));
+        c.total_rounds = 10;
+        c.setup_rounds = 1;
+        c.seed = 17;
+        c.parallel = threads.is_some();
+        c.threads = threads.unwrap_or(0);
+        c
+    }
+
+    #[test]
+    fn rounds_with_one_slot_and_with_none_match_serial() {
+        let n = 5;
+        let serial = run_ul(cfg(n, None), |_| Worker, &mut BreakAll);
+        // 4 sends per stepped node: all five in rounds 0–1 and 6–9, none in
+        // rounds 2–3, node 1 alone in rounds 4–5.
+        assert_eq!(serial.stats.messages_sent, 4 * (5 * 2 + 2 + 5 * 4));
+        for threads in [1usize, 2, 8] {
+            let par = run_ul(cfg(n, Some(threads)), |_| Worker, &mut BreakAll);
+            assert_eq!(serial, par, "threads {threads}");
+        }
+    }
+
+    #[test]
+    fn panicking_step_is_a_crash_stop_and_the_round_is_intact() {
+        use crate::chaos::PanicOn;
+        let n = 6;
+        let run = |threads: Option<usize>| {
+            let mut c = cfg(n, threads);
+            c.record_transcript = true;
+            run_ul(c, |_| PanicOn::at(Worker, NodeId(3), 4), &mut FaithfulUl)
+        };
+        let par = run(Some(2));
+        assert_eq!((par.stats.panics, par.stats.crashes), (1, 1));
+        // Crash-stopped from the panicking round to the end of the run.
+        assert_eq!(par.stats.crashed_rounds[NodeId(3).idx()], 10 - 4);
+        // The other five nodes' round 4 went out whole.
+        let sent = &par.transcript.as_ref().expect("transcript")[4].sent;
+        assert_eq!(sent.len(), 5 * 5);
+        assert!(sent.iter().all(|env| env.from != NodeId(3)));
+        assert_eq!(run(None), par);
+    }
+
+    #[test]
+    fn engine_scope_is_restored_after_the_parallel_section() {
+        let tele = Telemetry::enabled();
+        for threads in [1usize, 8] {
+            let k = 6;
+            let mut fx = Fixture::new(k);
+            let mut slots = fx.slots(&tele);
+            let mut engine_shard = tele.new_shard().expect("telemetry on");
+            engine_shard.count("test/engine_marker", 1);
+            let prev = telemetry::install(Some(engine_shard));
+            step_parallel(threads, 5, time_at(3), k, &mut slots);
+            // What is installed now is the engine's shard, with the engine's
+            // recordings and none of the nodes'.
+            let mut back = telemetry::install(prev).expect("engine scope still installed");
+            let steps_before = tele.counter("test/step");
+            let markers_before = tele.counter("test/engine_marker");
+            tele.merge_shard(&mut back);
+            assert_eq!(tele.counter("test/engine_marker"), markers_before + 1);
+            assert_eq!(tele.counter("test/step"), steps_before);
+            // Every slot got its own shard back, holding its own step.
+            for slot in &mut slots {
+                tele.merge_shard(slot.shard.as_mut().expect("shard returned to its slot"));
+            }
+            assert_eq!(tele.counter("test/step"), steps_before + k as u64);
+        }
     }
 }

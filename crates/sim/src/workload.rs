@@ -4,8 +4,8 @@
 //! protocol traffic.
 //!
 //! The generator is **stateless per call**: the operation list for a round
-//! is a pure function of `(seed, round)`, so any engine (serial or worker
-//! pool, any thread count) sampling inputs in any per-round order sees
+//! is a pure function of `(seed, round)`, so any engine (serial or
+//! parallel, any thread count) sampling inputs in any per-round order sees
 //! identical requests — the determinism property the golden tests pin.
 //!
 //! Semantics of the mix:

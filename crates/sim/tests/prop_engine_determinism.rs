@@ -1,7 +1,7 @@
 //! Engine determinism across execution strategies.
 //!
-//! The persistent worker pool must be invisible in results: for any seed,
-//! any worker count, and an *active* adversary (break-ins, memory wipes,
+//! The parallel engine must be invisible in results: for any seed,
+//! any thread count, and an *active* adversary (break-ins, memory wipes,
 //! message drops, injections), `run_ul`/`run_al` must produce bit-identical
 //! `SimResult`s. This is the load-bearing property behind `SimConfig::
 //! parallel` — per-node state is disjoint, per-(node, round) randomness is
@@ -190,14 +190,14 @@ fn al_results_identical_for_all_pool_sizes() {
 }
 
 #[test]
-fn pooled_ground_truth_matches_serial_at_large_n() {
-    // n = 32 crosses POOLED_GROUND_TRUTH_MIN_N, exercising the pooled
-    // reliability-matrix and operational-induction paths as well.
+fn parallel_matches_serial_at_large_n() {
+    // n = 32: many more slots than threads, and the O(n²) ground truth
+    // (reliability matrix, operational induction) at a size where it shows.
     let n = 32;
     for seed in [7u64, 42] {
         let serial = run_ul(cfg(seed, n, false, 0), |_| Chatter { counter: 0 }, &mut Chaos);
-        let pooled = run_ul(cfg(seed, n, true, 4), |_| Chatter { counter: 0 }, &mut Chaos);
-        assert_identical(&serial, &pooled, &format!("large-n seed {seed}"));
+        let parallel = run_ul(cfg(seed, n, true, 4), |_| Chatter { counter: 0 }, &mut Chaos);
+        assert_identical(&serial, &parallel, &format!("large-n seed {seed}"));
     }
 }
 

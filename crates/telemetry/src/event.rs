@@ -11,7 +11,7 @@
 //! Field names starting with `wall_` carry wall-clock measurements (always
 //! plain numbers). They are the only fields allowed to differ between two
 //! runs of the same seed, and [`strip_wall_fields`] removes them so traces
-//! can be compared byte-for-byte across worker-pool sizes.
+//! can be compared byte-for-byte across engine thread counts.
 
 use std::fmt::Write as _;
 

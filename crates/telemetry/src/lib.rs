@@ -3,9 +3,9 @@
 //! latency histograms), a span-style phase timer keyed to the time-unit /
 //! refreshment schedule, and a JSONL flight-recorder sink.
 //!
-//! Zero external dependencies, consistent with the vendored rand / proptest /
-//! criterion shims: the build environment has no crates.io access, and the
-//! paper's substrates are all built from scratch anyway.
+//! Zero external dependencies, consistent with the vendored rand / proptest
+//! shims: the build environment has no crates.io access, and the paper's
+//! substrates are all built from scratch anyway.
 //!
 //! # Shape
 //!
@@ -19,7 +19,7 @@
 //!
 //! # Determinism
 //!
-//! The round engine must stay bit-identical across worker-pool sizes with
+//! The round engine must stay bit-identical across thread counts with
 //! telemetry on or off. Three rules enforce that (see `registry`):
 //! per-node shards merged at round barriers in `NodeId` order, commutative
 //! counter/gauge merges, and wall-clock values confined to histograms and
@@ -33,6 +33,8 @@
 //! (the process-global hot flag, raised only while an enabled handle
 //! exists). The e11 benchmark's telemetry ablation row measures exactly
 //! this.
+
+#![forbid(unsafe_code)]
 
 pub mod delta;
 pub mod event;
@@ -187,7 +189,7 @@ impl Telemetry {
     /// Merges a shard's metrics into the registry and appends its buffered
     /// trace events to the sink. The engine calls this at round barriers in
     /// `NodeId` order — that ordering is what makes the trace byte-identical
-    /// across worker-pool sizes.
+    /// across engine thread counts.
     pub fn merge_shard(&self, shard: &mut Shard) {
         let Some(inner) = &self.inner else {
             return;

@@ -1,6 +1,6 @@
 //! The metrics registry: counters, max-gauges, and fixed-bucket histograms,
 //! plus the per-node **shards** that keep recording deterministic under the
-//! worker-pool engine.
+//! parallel engine.
 //!
 //! # Determinism rules
 //!

@@ -3,15 +3,15 @@
 //! threaded through their APIs.
 //!
 //! The engine installs a node's [`Shard`] into thread-local storage before
-//! running the node's round (on whichever thread the worker pool picked) and
+//! running the node's round (on whichever thread claimed the node) and
 //! takes it back afterwards. Instrumented call sites use the free functions
 //! below; with no telemetry enabled anywhere in the process they cost one
 //! relaxed atomic load and a branch — the "static no-op recorder".
 //!
 //! Scopes nest: installing saves the previous scope and the caller restores
 //! it, which matters because the engine thread both holds the engine-side
-//! shard (adversary instrumentation) and participates in pool batches
-//! (publisher runs node jobs too).
+//! shard (adversary instrumentation) and steps nodes itself beside its
+//! helper threads.
 
 use crate::registry::Shard;
 use std::cell::RefCell;

@@ -79,15 +79,13 @@
 //! The `service` subcommand runs the ALS layer as a signing service: an
 //! open-loop client workload (Poisson-like arrivals, 3:1 sign:verify) drives
 //! concurrent sign sessions, and the run reports completion, online/sustained
-//! signatures per second, and latency quantiles from telemetry. `service`
-//! takes --n --t --units --seed --group, plus:
+//! signatures per second, and latency quantiles from telemetry. The PDS runs
+//! as `AlsConfig::new` configures it (nonce preprocessing and the batch-verify
+//! window on). `service` takes --n --t --units --seed --group, plus:
 //!   --rate <int>         mean offered ops per round, in milli-ops
 //!                        (default 2000 = 2 ops/round)
-//!   --window <int>       batch-verify window; 1 disables amortization
-//!                        (default 8)
 //!   --mix <spec>         op mix, e.g. sign=8,verify=1,refresh=0.01
 //!                        (default sign=3,verify=1)
-//!   --preprocess         enable nonce preprocessing + Lagrange precompute
 //!
 //! Options:
 //!   --n <int>            nodes (default 5)
@@ -166,13 +164,13 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> HashMap<String, String>
             usage()
         };
         match key {
-            "parallel" | "verbose" | "preprocess" | "clusters" | "via-proxy" | "report"
+            "parallel" | "verbose" | "clusters" | "via-proxy" | "report"
             | "check" | "closed-loop" | "telemetry" | "stream-trace" | "adaptive" | "status"
             | "once" | "truncate-state" => {
                 out.insert(key.to_owned(), "true".to_owned());
             }
             "n" | "t" | "units" | "normal" | "seed" | "group" | "auth" | "adversary"
-            | "trace" | "rate" | "window" | "mix" | "node" | "addr" | "round-ms"
+            | "trace" | "rate" | "mix" | "node" | "addr" | "round-ms"
             | "min-round-ms" | "connect-timeout" | "idle-timeout" | "chaos-seed" | "delay"
             | "delay-max" | "dup" | "reorder" | "partition" | "windows" | "adapt-floor-ms"
             | "interval" | "view" | "state-dir" | "kill" | "max-restarts" | "restart-window"
@@ -265,8 +263,6 @@ fn service_closed_loop_main(args: &HashMap<String, String>) -> ! {
     let t: usize = get(args, "t", (n - 1) / 2);
     let units: u64 = get(args, "units", 2);
     let seed: u64 = get(args, "seed", 0);
-    let verify_window: usize = get(args, "window", 8);
-    let preprocess = args.contains_key("preprocess");
     if n < 2 * t + 1 {
         eprintln!("need n >= 2t+1 (got n={n}, t={t})");
         exit(2);
@@ -297,7 +293,7 @@ fn service_closed_loop_main(args: &HashMap<String, String>) -> ! {
     };
     println!(
         "proauth signing service, closed loop: n={n} t={t} units={units} group={group_id} \
-         preprocess={preprocess} seed={seed} windows={windows:?}\n"
+         seed={seed} windows={windows:?}\n"
     );
 
     let mut rows = Vec::new();
@@ -318,12 +314,7 @@ fn service_closed_loop_main(args: &HashMap<String, String>) -> ! {
         let feedback = telemetry.clone();
         let result = run_al_with_inputs(
             cfg,
-            |id| {
-                let mut c = AlsConfig::new(group.clone(), n, t);
-                c.nonce_pool = if preprocess { 64 } else { 0 };
-                c.verify_window = verify_window;
-                AlsProcess::new(AlsPds::new(c, id))
-            },
+            |id| AlsProcess::new(AlsPds::new(AlsConfig::new(group.clone(), n, t), id)),
             &mut PassiveAl,
             // Every node increments `pds/sign_completed` once per finished
             // session, so the per-client completion count is the counter
@@ -421,9 +412,7 @@ fn service_main(args: &HashMap<String, String>) -> ! {
     let units: u64 = get(args, "units", 2);
     let seed: u64 = get(args, "seed", 0);
     let rate: u64 = get(args, "rate", 2_000);
-    let window: usize = get(args, "window", 8);
     let mix = args.get("mix").cloned();
-    let preprocess = args.contains_key("preprocess");
     if n < 2 * t + 1 {
         eprintln!("need n >= 2t+1 (got n={n}, t={t})");
         exit(2);
@@ -440,7 +429,7 @@ fn service_main(args: &HashMap<String, String>) -> ! {
     };
     println!(
         "proauth signing service: n={n} t={t} units={units} group={group_id} \
-         rate={rate}m ops/round window={window} mix={} preprocess={preprocess} seed={seed}\n",
+         rate={rate}m ops/round mix={} seed={seed}\n",
         mix.as_deref().unwrap_or("sign=3,verify=1")
     );
 
@@ -469,12 +458,7 @@ fn service_main(args: &HashMap<String, String>) -> ! {
     let start = std::time::Instant::now();
     let result = run_al_with_inputs(
         cfg,
-        |id| {
-            let mut c = AlsConfig::new(group.clone(), n, t);
-            c.nonce_pool = if preprocess { 64 } else { 0 };
-            c.verify_window = window;
-            AlsProcess::new(AlsPds::new(c, id))
-        },
+        |id| AlsProcess::new(AlsPds::new(AlsConfig::new(group.clone(), n, t), id)),
         &mut PassiveAl,
         |id, round| workload.input(id, round),
     );
@@ -1185,12 +1169,13 @@ fn proxy_main(args: &HashMap<String, String>) -> ! {
         Ok(stats) => {
             println!(
                 "proxy: forwarded {} delayed {} duplicated {} reordered {} resets {} \
-                 setup {} marks {}",
+                 rejected {} setup {} marks {}",
                 stats.forwarded,
                 stats.delayed,
                 stats.duplicated,
                 stats.reordered,
                 stats.resets,
+                stats.rejected,
                 stats.setup_forwarded,
                 stats.marks
             );
