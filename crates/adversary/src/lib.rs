@@ -26,6 +26,4 @@ pub use breakins::{CorruptMode, MobileBreakins, Visit};
 pub use impersonation::{forge_app_message, Hijacker, KeyThief};
 pub use limits::LimitObserver;
 pub use sweep::{run_sweep, Intensity, SweepConfig, SweepPoint};
-pub use strategies::{
-    Composed, Delayer, Duplicator, Injector, LinkCutter, RandomDropper, Reorderer, Replayer,
-};
+pub use strategies::{Composed, Injector, LinkCutter, RandomDropper, Replayer};

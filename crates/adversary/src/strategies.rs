@@ -191,110 +191,6 @@ impl UlAdversary for Replayer {
     }
 }
 
-/// Derives a per-round RNG for the chaos-delivery strategies. Keyed on
-/// (seed, round, tag) rather than streamed, so a strategy's behaviour in
-/// round `w` is a pure function of the seed and the round — re-running any
-/// prefix of the schedule reproduces it exactly.
-fn round_rng(seed: u64, round: u64, tag: &str) -> StdRng {
-    let digest = proauth_primitives::sha256::hash_parts(
-        "proauth/adversary/chaos-rng",
-        &[tag.as_bytes(), &seed.to_be_bytes(), &round.to_be_bytes()],
-    );
-    StdRng::from_seed(digest)
-}
-
-/// Delays each message independently with probability `p` by one round
-/// (synchronous-model "late" delivery: the envelope joins the next round's
-/// delivered set instead of this one's).
-#[derive(Debug, Clone)]
-pub struct Delayer {
-    /// Per-message delay probability in `[0, 1]`.
-    pub p: f64,
-    seed: u64,
-    held: Vec<Envelope>,
-}
-
-impl Delayer {
-    /// Creates a delayer with its own deterministic randomness.
-    pub fn new(p: f64, seed: u64) -> Self {
-        Delayer {
-            p,
-            seed,
-            held: Vec::new(),
-        }
-    }
-}
-
-impl UlAdversary for Delayer {
-    fn deliver(&mut self, sent: &[Envelope], view: &NetView<'_>) -> Vec<Envelope> {
-        let mut rng = round_rng(self.seed, view.time.round, "delay");
-        let mut out = std::mem::take(&mut self.held);
-        for e in sent {
-            if rng.gen::<f64>() < self.p {
-                self.held.push(e.clone());
-            } else {
-                out.push(e.clone());
-            }
-        }
-        out
-    }
-}
-
-/// Duplicates each message independently with probability `p` (the duplicate
-/// is delivered in the same round, immediately after the original).
-#[derive(Debug, Clone)]
-pub struct Duplicator {
-    /// Per-message duplication probability in `[0, 1]`.
-    pub p: f64,
-    seed: u64,
-}
-
-impl Duplicator {
-    /// Creates a duplicator with its own deterministic randomness.
-    pub fn new(p: f64, seed: u64) -> Self {
-        Duplicator { p, seed }
-    }
-}
-
-impl UlAdversary for Duplicator {
-    fn deliver(&mut self, sent: &[Envelope], view: &NetView<'_>) -> Vec<Envelope> {
-        let mut rng = round_rng(self.seed, view.time.round, "dup");
-        let mut out = Vec::with_capacity(sent.len());
-        for e in sent {
-            out.push(e.clone());
-            if rng.gen::<f64>() < self.p {
-                out.push(e.clone());
-            }
-        }
-        out
-    }
-}
-
-/// Shuffles each round's delivered set (Fisher–Yates on a per-round RNG).
-/// Within the synchronous model a round's deliveries are a *set*, so honest
-/// protocols must not depend on arrival order — this strategy checks that.
-#[derive(Debug, Clone)]
-pub struct Reorderer {
-    seed: u64,
-}
-
-impl Reorderer {
-    /// Creates a reorderer with its own deterministic randomness.
-    pub fn new(seed: u64) -> Self {
-        Reorderer { seed }
-    }
-}
-
-impl UlAdversary for Reorderer {
-    fn deliver(&mut self, sent: &[Envelope], view: &NetView<'_>) -> Vec<Envelope> {
-        use rand::seq::SliceRandom;
-        let mut rng = round_rng(self.seed, view.time.round, "reorder");
-        let mut out = sent.to_vec();
-        out.shuffle(&mut rng);
-        out
-    }
-}
-
 /// Composes two adversaries: `first` filters deliveries, then `second`
 /// transforms the result. Break plans and corruption are taken from both.
 pub struct Composed<A, B> {
@@ -423,52 +319,6 @@ mod tests {
         let replayed = adv.deliver(&[], &netview(2, &b, &o));
         assert_eq!(replayed.len(), 1);
         assert_eq!(&replayed[0].payload[..], &[7]);
-    }
-
-    #[test]
-    fn delayer_holds_to_next_round() {
-        // p = 1: everything is held exactly one round.
-        let mut adv = Delayer::new(1.0, 3);
-        let (b, o) = view(0);
-        let sent = vec![Envelope::new(NodeId(1), NodeId(2), vec![7])];
-        assert_eq!(adv.deliver(&sent, &netview(0, &b, &o)).len(), 0);
-        let late = adv.deliver(&[], &netview(1, &b, &o));
-        assert_eq!(late.len(), 1);
-        assert_eq!(&late[0].payload[..], &[7]);
-        // p = 0: pass-through.
-        let mut adv = Delayer::new(0.0, 3);
-        assert_eq!(adv.deliver(&sent, &netview(0, &b, &o)).len(), 1);
-    }
-
-    #[test]
-    fn duplicator_doubles_messages() {
-        let mut adv = Duplicator::new(1.0, 3);
-        let (b, o) = view(0);
-        let sent = vec![Envelope::new(NodeId(1), NodeId(2), vec![7])];
-        let out = adv.deliver(&sent, &netview(0, &b, &o));
-        assert_eq!(out.len(), 2);
-        assert_eq!(out[0].payload, out[1].payload);
-    }
-
-    #[test]
-    fn reorderer_permutes_deterministically() {
-        let (b, o) = view(0);
-        let sent: Vec<Envelope> = (0..20)
-            .map(|i| Envelope::new(NodeId(1), NodeId(2), vec![i]))
-            .collect();
-        let run = |seed| {
-            let mut adv = Reorderer::new(seed);
-            adv.deliver(&sent, &netview(0, &b, &o))
-                .iter()
-                .map(|e| e.payload[0])
-                .collect::<Vec<_>>()
-        };
-        // Same seed reproduces the permutation; it is a permutation.
-        assert_eq!(run(5), run(5));
-        let mut sorted = run(5);
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..20).collect::<Vec<_>>());
-        assert_ne!(run(5), (0..20).collect::<Vec<_>>());
     }
 
     #[test]

@@ -13,11 +13,11 @@
 //!   no panic, no hang — but degrades *loudly*: [`SweepPoint::alarm`] is
 //!   raised and the report says which guarantee gave way.
 //!
-//! The sweep is deterministic: every fault decision comes from the compiled
-//! [`proauth_sim::chaos::FaultSchedule`] or keyed per-round RNG, so a
-//! `(config, seed)` pair
-//! yields the same `Vec<SweepPoint>` on every run and every engine thread
-//! count.
+//! The sweep is deterministic: every crash comes from the compiled
+//! [`proauth_sim::chaos::FaultSchedule`] and every link fault from
+//! [`LinkChaos::fate`], a hash of the frame's identity, so a `(config,
+//! seed)` pair yields the same `Vec<SweepPoint>` on every run and every
+//! engine thread count.
 
 use std::fmt;
 
@@ -26,7 +26,7 @@ use proauth_core::uls::{uls_schedule, UlsConfig, UlsNode, SETUP_ROUNDS};
 use proauth_crypto::group::{Group, GroupId};
 use proauth_pds::ideal::IdealChecker;
 use proauth_sim::adversary::FaithfulUl;
-use proauth_sim::chaos::{ChaosConfig, ChaosNet};
+use proauth_sim::chaos::{ChaosConfig, ChaosNet, LinkChaos};
 use proauth_sim::message::NodeId;
 use proauth_sim::runner::{run_ul, SimConfig};
 use proauth_sim::Telemetry;
@@ -34,7 +34,7 @@ use proauth_telemetry::HIST_BOUNDS_VALUE;
 
 use crate::limits::LimitObserver;
 
-/// One step of a degradation sweep: a crash budget plus delivery-fault
+/// One step of a degradation sweep: a crash budget plus link-fault
 /// pressure. Steps with `max_down <= t` are intended to stay inside the
 /// Definition-7 budget; steps with `max_down > t` deliberately cross it.
 #[derive(Debug, Clone)]
@@ -47,12 +47,8 @@ pub struct Intensity {
     pub crash_p: f64,
     /// Crash probability at each refreshment phase boundary.
     pub boundary_crash_p: f64,
-    /// Per-message delay probability.
-    pub delay_p: f64,
-    /// Per-message duplication probability.
-    pub dup_p: f64,
-    /// Shuffle delivery order within each inbox.
-    pub reorder: bool,
+    /// Link faults (`ChaosConfig::link`).
+    pub link: LinkChaos,
 }
 
 impl Intensity {
@@ -63,9 +59,7 @@ impl Intensity {
             max_down: 0,
             crash_p: 0.0,
             boundary_crash_p: 0.0,
-            delay_p: 0.0,
-            dup_p: 0.0,
-            reorder: false,
+            link: LinkChaos::default(),
         }
     }
 }
@@ -92,13 +86,11 @@ impl SweepConfig {
     /// provably capped below `t` (crash victims' re-certification tails
     /// included), and an over-budget point that crosses the boundary.
     ///
-    /// The sub-budget point uses crashes and reordering only: reordering
-    /// within a round preserves each link's delivered multiset, so links
-    /// stay reliable (Definition 4). Delay and duplication are *link*
-    /// attacks — a delayed message is a drop-this-round, a duplicate is a
-    /// replay — and spraying them across all links impairs arbitrary nodes,
-    /// which is exactly the over-budget behavior, so those knobs only turn
-    /// on past the boundary.
+    /// The sub-budget point uses crashes only. Delay and duplication are
+    /// *link* attacks — a delayed message is a drop-this-round, a duplicate
+    /// is a replay (Definition 4) — and spraying them across all links
+    /// impairs arbitrary nodes, which is exactly the over-budget behavior,
+    /// so link faults only turn on past the boundary.
     pub fn boundary_ramp(n: usize, t: usize, units: u64, normal_rounds: u64, seed: u64) -> Self {
         SweepConfig {
             n,
@@ -113,18 +105,19 @@ impl SweepConfig {
                     max_down: 1,
                     crash_p: 0.01,
                     boundary_crash_p: 0.35,
-                    delay_p: 0.0,
-                    dup_p: 0.0,
-                    reorder: true,
+                    link: LinkChaos::default(),
                 },
                 Intensity {
                     label: "over-budget",
                     max_down: t + 1,
                     crash_p: 0.04,
                     boundary_crash_p: 1.0,
-                    delay_p: 0.03,
-                    dup_p: 0.03,
-                    reorder: true,
+                    link: LinkChaos {
+                        seed: seed ^ 0xC4A0_5EED,
+                        delay_pct: 3,
+                        dup_pct: 3,
+                        ..LinkChaos::default()
+                    },
                 },
             ],
         }
@@ -257,10 +250,8 @@ fn run_point(cfg: &SweepConfig, intensity: &Intensity) -> SweepPoint {
         } else {
             None
         },
-        delay_p: intensity.delay_p,
-        dup_p: intensity.dup_p,
-        reorder: intensity.reorder,
         target: None,
+        link: intensity.link,
     };
     let mut adv = LimitObserver::new(ChaosNet::compile(
         FaithfulUl,

@@ -1,5 +1,5 @@
 //! Deterministic chaos engine: compiled fault schedules, crash–restart
-//! orchestration, and chaotic delivery.
+//! orchestration, and the link-fault model.
 //!
 //! The paper's protocols are built to survive transient faults — break-ins,
 //! lost state, `s`-disconnection — so the harness must be able to *produce*
@@ -8,13 +8,18 @@
 //! refreshment-phase boundaries where mid-refresh state loss hurts most) and
 //! wraps any adversary in a [`ChaosNet`] that executes the schedule, restarts
 //! crashed nodes after a configurable outage, and — in the UL model, whose
-//! adversary owns delivery — delays, duplicates, and reorders traffic.
+//! adversary owns delivery — delays, duplicates and partitions traffic as
+//! [`LinkChaos::fate`] decides.
 //!
 //! Everything is a pure function of the configuration and the seed:
 //! schedules are precompiled, per-round randomness is derived by hashing
-//! `(seed, round)` rather than streamed, and all decisions run on the engine
+//! `(seed, round)` rather than streamed, each frame's fate is a hash of its
+//! `(round, from, to, seq)` identity, and all decisions run on the engine
 //! thread. Same seed ⇒ bit-identical [`crate::runner::SimResult`] and trace
 //! across serial and parallel execution, like every other adversary.
+//!
+//! The daemon's chaos proxy ([`crate::net::proxy`]) executes the same
+//! `LinkChaos`, so a socket run delivers the same frames in the same rounds.
 //!
 //! Crash semantics (vs break-ins, Definitions 4–7): a crashed node does not
 //! execute and its pending traffic is *discarded*, not diverted — the
@@ -35,6 +40,89 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
+
+/// A partition window: during rounds `[start, end)`, frames between the two
+/// groups (`id <= split` vs `id > split`) are held and released when the
+/// partition heals.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Partition {
+    /// First partitioned round.
+    pub start: u64,
+    /// First healed round.
+    pub end: u64,
+    /// Largest node id of the first group.
+    pub split: u32,
+}
+
+/// What the link adversary does with one frame.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Fate {
+    /// Delivered in the next round, as sent.
+    Deliver,
+    /// Delivered in the next round, twice (the copies adjacent).
+    Dup,
+    /// Held `k ≥ 1` extra rounds: a frame sent in round `w` is delivered in
+    /// round `w + k + 1`.
+    Delay(u64),
+}
+
+/// The link-fault model: delay, duplication and partitions, each frame's
+/// fate a pure function of `(seed, round, from, to, seq)`.
+///
+/// `seq` is the frame's index among its sender's frames of that round, in
+/// outbox order — the daemon's wire `seq`, and the index [`ChaosNet`]
+/// recomputes from the engine's merge. Reordering is not a fate: inboxes are
+/// sorted by `(round, sender, seq)` on both backends, so arrival order never
+/// reaches a node. The default is faithful delivery.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct LinkChaos {
+    /// Decision seed (independent of the protocol seed).
+    pub seed: u64,
+    /// Percent of frames delayed.
+    pub delay_pct: u8,
+    /// Most extra rounds a delayed frame is held (taken as 1 when 0).
+    pub delay_max: u64,
+    /// Percent of frames duplicated (a delayed frame is never duplicated).
+    pub dup_pct: u8,
+    /// Optional partition window; a cross-group frame sent inside it is
+    /// delayed until the heal.
+    pub partition: Option<Partition>,
+}
+
+impl LinkChaos {
+    /// Whether every frame is delivered as sent.
+    pub fn is_faithful(&self) -> bool {
+        self.delay_pct == 0 && self.dup_pct == 0 && self.partition.is_none()
+    }
+
+    /// The fate of the `seq`-th frame `from` sent to `to` in `round`. A
+    /// cross-group frame inside the partition window is held until the heal;
+    /// otherwise delay takes precedence over duplication.
+    pub fn fate(&self, round: u64, from: NodeId, to: NodeId, seq: u32) -> Fate {
+        if let Some(p) = self.partition {
+            if (p.start..p.end).contains(&round) && (from.0 <= p.split) != (to.0 <= p.split) {
+                return Fate::Delay(p.end - round);
+            }
+        }
+        let h = sha256::hash_parts(
+            "proauth/net/chaos",
+            &[
+                &self.seed.to_be_bytes(),
+                &round.to_be_bytes(),
+                &from.0.to_be_bytes(),
+                &to.0.to_be_bytes(),
+                &seq.to_be_bytes(),
+            ],
+        );
+        if h[0] % 100 < self.delay_pct {
+            Fate::Delay(1 + u64::from(h[3]) % self.delay_max.max(1))
+        } else if h[1] % 100 < self.dup_pct {
+            Fate::Dup
+        } else {
+            Fate::Deliver
+        }
+    }
+}
 
 /// Fault-intensity knobs for the chaos engine. The default is calm (no
 /// faults); a sweep driver scales these across the `(s,t)` boundary.
@@ -67,12 +155,8 @@ pub struct ChaosConfig {
     /// calm, so per-cluster Definition-7 budgets can be exercised in
     /// isolation.
     pub target: Option<Vec<NodeId>>,
-    /// Per-message one-round delay probability (UL only).
-    pub delay_p: f64,
-    /// Per-message duplication probability (UL only).
-    pub dup_p: f64,
-    /// Shuffle each round's delivered set (UL only).
-    pub reorder: bool,
+    /// Link faults applied to the delivered set (UL only).
+    pub link: LinkChaos,
 }
 
 impl Default for ChaosConfig {
@@ -84,21 +168,9 @@ impl Default for ChaosConfig {
             max_down: usize::MAX,
             presumed_down: None,
             target: None,
-            delay_p: 0.0,
-            dup_p: 0.0,
-            reorder: false,
+            link: LinkChaos::default(),
         }
     }
-}
-
-/// Derives the deterministic per-round chaos RNG. Keyed, not streamed: the
-/// behaviour at round `w` is a pure function of `(seed, w)`.
-fn chaos_rng(seed: u64, round: u64, tag: &str) -> StdRng {
-    let digest = sha256::hash_parts(
-        "proauth/sim/chaos-rng",
-        &[tag.as_bytes(), &seed.to_be_bytes(), &round.to_be_bytes()],
-    );
-    StdRng::from_seed(digest)
 }
 
 /// A precompiled crash schedule: which nodes crash-stop at which round.
@@ -133,7 +205,12 @@ impl FaultSchedule {
         let down_span = cfg.presumed_down.or(cfg.restart_after).map(|d| d + 1);
         let mut up_at = vec![0u64; n];
         for round in 0..total_rounds {
-            let mut rng = chaos_rng(seed, round, "schedule");
+            // Keyed, not streamed: round `w`'s draws are a function of
+            // `(seed, w)` alone.
+            let mut rng = StdRng::from_seed(sha256::hash_parts(
+                "proauth/sim/chaos-rng",
+                &[b"schedule", &seed.to_be_bytes(), &round.to_be_bytes()],
+            ));
             let mut down_now = up_at.iter().filter(|&&u| u > round).count();
             // In budget-proof mode (`presumed_down` set) every victim must
             // have time to restart *and* re-certify before the run ends, so
@@ -204,32 +281,30 @@ impl FaultSchedule {
 
 /// Wraps an adversary with the chaos engine: executes a [`FaultSchedule`],
 /// restarts crashed nodes (scheduled *or* panic-induced) after
-/// `restart_after` rounds, and — under the UL model — delays, duplicates,
-/// and reorders the inner adversary's deliveries.
+/// `restart_after` rounds, and — under the UL model — applies
+/// [`ChaosConfig::link`] to the inner adversary's deliveries.
 ///
 /// Under the AL model only the crash/restart plan applies: the AL adversary
-/// has no power over honest delivery, so the delivery knobs are ignored.
+/// has no power over honest delivery, so the link model is ignored.
 pub struct ChaosNet<A> {
     /// The wrapped adversary (its plan and delivery run first).
     pub inner: A,
     cfg: ChaosConfig,
     schedule: FaultSchedule,
-    seed: u64,
-    /// Messages held back by the delay knob, delivered next round.
-    held: Vec<Envelope>,
+    /// Delayed frames by release round, each with its send round and seq.
+    held: BTreeMap<u64, Vec<(u64, u32, Envelope)>>,
     /// Round each node was first *observed* crashed; drives restarts.
     crashed_since: Vec<Option<u64>>,
 }
 
 impl<A> ChaosNet<A> {
     /// Wraps `inner` with a precompiled schedule.
-    pub fn new(inner: A, cfg: ChaosConfig, schedule: FaultSchedule, n: usize, seed: u64) -> Self {
+    pub fn new(inner: A, cfg: ChaosConfig, schedule: FaultSchedule, n: usize) -> Self {
         ChaosNet {
             inner,
             cfg,
             schedule,
-            seed,
-            held: Vec::new(),
+            held: BTreeMap::new(),
             crashed_since: vec![None; n],
         }
     }
@@ -244,7 +319,7 @@ impl<A> ChaosNet<A> {
         seed: u64,
     ) -> Self {
         let compiled = FaultSchedule::compile(&cfg, n, total_rounds, schedule, seed);
-        Self::new(inner, cfg, compiled, n, seed)
+        Self::new(inner, cfg, compiled, n)
     }
 
     /// The chaos engine's own plan for this round: scheduled crashes plus
@@ -269,32 +344,6 @@ impl<A> ChaosNet<A> {
         }
         plan
     }
-
-    /// Applies the UL delivery knobs (delay, duplicate, reorder) to the
-    /// round's delivered set.
-    fn chaos_deliver(&mut self, delivered: Vec<Envelope>, round: u64) -> Vec<Envelope> {
-        let calm = self.cfg.delay_p == 0.0 && self.cfg.dup_p == 0.0 && !self.cfg.reorder;
-        if calm && self.held.is_empty() {
-            return delivered;
-        }
-        let mut rng = chaos_rng(self.seed, round, "deliver");
-        let mut out = std::mem::take(&mut self.held);
-        for e in delivered {
-            if self.cfg.delay_p > 0.0 && rng.gen::<f64>() < self.cfg.delay_p {
-                self.held.push(e);
-                continue;
-            }
-            let dup = self.cfg.dup_p > 0.0 && rng.gen::<f64>() < self.cfg.dup_p;
-            out.push(e.clone());
-            if dup {
-                out.push(e);
-            }
-        }
-        if self.cfg.reorder {
-            out.shuffle(&mut rng);
-        }
-        out
-    }
 }
 
 impl<A: UlAdversary> UlAdversary for ChaosNet<A> {
@@ -308,9 +357,43 @@ impl<A: UlAdversary> UlAdversary for ChaosNet<A> {
         self.inner.corrupt(node, state, time);
     }
 
+    /// Applies [`LinkChaos::fate`] to the inner adversary's deliveries,
+    /// keying each envelope by its index among this round's envelopes from
+    /// the same sender. The result is the daemon's inbox order: frames
+    /// released this round first, by `(send round, sender, seq)`, then this
+    /// round's frames with each duplicate beside its original.
     fn deliver(&mut self, sent: &[Envelope], view: &NetView<'_>) -> Vec<Envelope> {
-        let mid = self.inner.deliver(sent, view);
-        self.chaos_deliver(mid, view.time.round)
+        let delivered = self.inner.deliver(sent, view);
+        let link = self.cfg.link;
+        if link.is_faithful() && self.held.is_empty() {
+            return delivered;
+        }
+        let round = view.time.round;
+        let mut out: Vec<Envelope> = Vec::with_capacity(delivered.len());
+        let later = self.held.split_off(&round.saturating_add(1));
+        let mut due: Vec<_> = std::mem::replace(&mut self.held, later)
+            .into_values()
+            .flatten()
+            .collect();
+        due.sort_by_key(|(sent_in, seq, e)| (*sent_in, e.from, *seq));
+        out.extend(due.into_iter().map(|(_, _, e)| e));
+        let mut seqs: BTreeMap<NodeId, u32> = BTreeMap::new();
+        for e in delivered {
+            let seq = *seqs.entry(e.from).and_modify(|s| *s += 1).or_insert(0);
+            match link.fate(round, e.from, e.to, seq) {
+                Fate::Deliver => out.push(e),
+                Fate::Dup => {
+                    out.push(e.clone());
+                    out.push(e);
+                }
+                Fate::Delay(k) => self
+                    .held
+                    .entry(round.saturating_add(k))
+                    .or_default()
+                    .push((round, seq, e)),
+            }
+        }
+        out
     }
 
     fn output(&mut self) -> Vec<String> {
@@ -574,7 +657,7 @@ mod tests {
             restart_after: Some(2),
             ..ChaosConfig::default()
         };
-        let mut adv = ChaosNet::new(FaithfulUl, chaos, schedule, 3, 0);
+        let mut adv = ChaosNet::new(FaithfulUl, chaos, schedule, 3);
         let result = run_ul(cfg(3, 20), |_| Counter { heard: 0 }, &mut adv);
         // Crashed rounds are charged: node 2 down from round 3 until the
         // restart lands (observed crashed at 4, restarted at plan of 6).
@@ -595,34 +678,76 @@ mod tests {
         assert!(evs.contains(&crate::message::OutputEvent::Recovered));
     }
 
+    /// Stamps every message with its sender and round, so each envelope of
+    /// a run is unique per link.
+    struct Stamper;
+
+    impl Process for Stamper {
+        fn on_setup_round(&mut self, _ctx: &mut SetupCtx<'_>) {}
+        fn on_round(&mut self, ctx: &mut RoundCtx<'_>) {
+            let mut stamp = ctx.me.0.to_be_bytes().to_vec();
+            stamp.extend_from_slice(&ctx.time.round.to_be_bytes());
+            ctx.send_all(stamp);
+        }
+        fn state_mut(&mut self) -> &mut dyn Any {
+            self
+        }
+    }
+
     #[test]
     fn chaotic_delivery_preserves_multiset_per_link() {
-        // Delay + dup + reorder never forge or modify: every delivered
-        // envelope matches something sent on the same link.
+        // Delay + dup never forge or modify. Over the whole run, each sent
+        // envelope arrives on its own link once (twice if duplicated), never
+        // before it was sent and never later than `delay_max` rounds behind;
+        // only frames still held when the run ends go missing.
+        let (rounds, delay_max) = (15u64, 3u64);
         let chaos = ChaosConfig {
-            delay_p: 0.3,
-            dup_p: 0.3,
-            reorder: true,
+            link: LinkChaos {
+                seed: 9,
+                delay_pct: 30,
+                delay_max,
+                dup_pct: 30,
+                partition: None,
+            },
             ..ChaosConfig::default()
         };
-        let mut adv = ChaosNet::new(FaithfulUl, chaos, FaultSchedule::default(), 4, 9);
-        let mut c = cfg(4, 15);
+        let mut adv = ChaosNet::new(FaithfulUl, chaos, FaultSchedule::default(), 4);
+        let mut c = cfg(4, rounds);
         c.record_transcript = true;
-        let result = run_ul(c, |_| Counter { heard: 0 }, &mut adv);
-        assert_eq!(result.stats.messages_modified, 0);
+        let result = run_ul(c, |_| Stamper, &mut adv);
+        // (The engine's per-round diff books a frame released on a link
+        // beside one held back as "modified"; the whole-run match below is
+        // the real no-forgery check.)
         let t = result.transcript.expect("transcript");
+        let mut sent_at: BTreeMap<(NodeId, NodeId, Vec<u8>), u64> = BTreeMap::new();
         for rec in &t {
-            for env in &rec.delivered {
-                assert!(
-                    t.iter().any(|r| r
-                        .sent
-                        .iter()
-                        .any(|s| s.from == env.from && s.to == env.to && s.payload == env.payload)),
-                    "delivered envelope was never sent"
-                );
+            for s in &rec.sent {
+                let key = (s.from, s.to, s.payload.to_vec());
+                assert!(sent_at.insert(key, rec.time.round).is_none(), "stamps are unique");
             }
         }
-        // Duplication actually fired.
+        let mut copies: BTreeMap<(NodeId, NodeId, Vec<u8>), u64> = BTreeMap::new();
+        let mut late = 0;
+        for rec in &t {
+            for env in &rec.delivered {
+                let key = (env.from, env.to, env.payload.to_vec());
+                let sent = *sent_at.get(&key).expect("delivered envelope was never sent");
+                let round = rec.time.round;
+                assert!((sent..=sent + delay_max).contains(&round), "sent {sent}, out {round}");
+                late += u64::from(round > sent);
+                *copies.entry(key).or_default() += 1;
+            }
+        }
+        for (key, sent) in &sent_at {
+            match copies.get(key).copied().unwrap_or(0) {
+                0 => assert!(sent + delay_max >= rounds, "{key:?} lost mid-run"),
+                1 | 2 => {}
+                k => panic!("{key:?} delivered {k} times"),
+            }
+        }
+        // Both faults actually fired.
+        assert!(late > 0, "some frames were delayed");
+        assert!(copies.values().any(|&k| k == 2), "some frames were duplicated");
         assert!(result.stats.messages_injected > 0, "duplicates count as injected");
     }
 

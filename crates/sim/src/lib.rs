@@ -8,7 +8,8 @@
 //! * [`process`] — the node programming interface, including ROM;
 //! * [`adversary`] — the AL and UL mobile-adversary interfaces;
 //! * [`chaos`] — deterministic fault injection: compiled crash/restart
-//!   schedules, chaotic delivery, and the panic→crash test hook;
+//!   schedules, the link-fault model shared with the daemon's chaos proxy,
+//!   and the panic→crash test hook;
 //! * [`reliability`] — link reliability (Def. 4) and `s`-operational
 //!   tracking (Defs. 5–6) from ground truth;
 //! * [`runner`] — the AL/UL execution engines ([`runner::run_al`],
@@ -41,14 +42,16 @@ pub mod workload;
 pub use proauth_telemetry as telemetry;
 
 pub use adversary::{AlAdversary, BreakPlan, NetView, UlAdversary};
-pub use chaos::{ChaosConfig, ChaosNet, FaultSchedule, PanicOn, ProcessFaultPlan};
+pub use chaos::{
+    ChaosConfig, ChaosNet, Fate, FaultSchedule, LinkChaos, PanicOn, Partition, ProcessFaultPlan,
+};
 pub use driver::{NodeDriver, ProcessDriver, StepReport};
 pub use clock::{Phase, Schedule, TimeView};
 pub use message::{Envelope, NodeId, OutputEvent, OutputLog, Payload};
 pub use process::{Process, Rom, RoundCtx, SetupCtx};
 pub use reliability::{OperationalRule, OperationalTracker, PairMatrix};
 pub use proauth_telemetry::Telemetry;
-pub use report::{render_metrics, unit_summaries, NodeUnitSummary, ThroughputSummary, UnitSummary};
+pub use report::{render_metrics, unit_summaries, NodeUnitSummary, UnitSummary};
 pub use workload::{ClientBatch, ClientOp, Workload, WorkloadConfig};
 pub use runner::{
     run_al, run_al_with_inputs, run_ul, run_ul_with_inputs, RoundRecord, SimConfig, SimResult,

@@ -228,12 +228,9 @@ pub struct NodeLoop<'d> {
     /// ignored — a rejoining peer's replayed marks would otherwise leak
     /// rows into `buf.marks` forever.
     cur_round: u64,
-    /// Highest round any peer is known to have reached (marks observed,
-    /// rejoin acks). When this runs ahead of `cur_round + 1` the node is
-    /// behind the cluster and paces catch-up rounds at
-    /// [`CATCHUP_ROUND_MS`]; in a healthy run it never exceeds
-    /// `cur_round + 1`, so clean pacing is untouched.
-    live_round_hint: u64,
+    /// Latest round each peer marked or acked (this node's own slot stays
+    /// at the start round). Their quorum is [`NodeLoop::live_round_hint`].
+    peer_rounds: Vec<u64>,
     /// Durable state handle (`None` leaves the self-healing layer inert).
     state: Option<StateDir>,
 }
@@ -318,7 +315,7 @@ impl<'d> NodeLoop<'d> {
             rounds_started: None,
             seq_tracks: BTreeMap::new(),
             cur_round: start_round,
-            live_round_hint: start_round,
+            peer_rounds: vec![start_round; n],
             state,
         };
         // Mesh: wait for every higher-numbered peer to dial in and identify.
@@ -632,13 +629,14 @@ impl<'d> NodeLoop<'d> {
             }
             NetMsg::RoundMark { round, from } => {
                 if from.idx() < n {
-                    if round >= self.live_round_hint {
-                        self.live_round_hint = round;
-                    }
+                    self.note_peer_round(from.0, round);
                     // Marks for rounds already completed here are stale
-                    // (replayed to a rejoiner, or chaos-delayed); recording
-                    // them would leak rows into `buf.marks` forever.
-                    if round >= self.cur_round {
+                    // (replayed to a rejoiner); marks past the quorum's
+                    // horizon are claims no majority backs. Recording either
+                    // would leak rows into `buf.marks`.
+                    if round > self.live_round_hint().saturating_add(2) {
+                        self.tele.add("net/horizon_drops", 1);
+                    } else if round >= self.cur_round {
                         self.buf.marks.entry(round).or_insert_with(|| vec![false; n])[from.idx()] =
                             true;
                     }
@@ -684,11 +682,7 @@ impl<'d> NodeLoop<'d> {
                     }
                 }
             }
-            NetMsg::RejoinAck { node: _, round } => {
-                if round > self.live_round_hint {
-                    self.live_round_hint = round;
-                }
-            }
+            NetMsg::RejoinAck { node, round } => self.note_peer_round(node, round),
             // Collector-bound traffic never reaches a node.
             NetMsg::Event { .. }
             | NetMsg::Report(_)
@@ -697,6 +691,24 @@ impl<'d> NodeLoop<'d> {
             | NetMsg::Alarm(_)
             | NetMsg::Trace { .. } => {}
         }
+    }
+
+    /// Records that peer `node` reached `round` (ids outside the network,
+    /// and this node's own, are ignored).
+    fn note_peer_round(&mut self, node: u32, round: u64) {
+        if node >= 1 && node as usize <= self.cfg.n && node != self.cfg.me.0 {
+            let slot = &mut self.peer_rounds[NodeId(node).idx()];
+            *slot = (*slot).max(round);
+        }
+    }
+
+    /// The round the cluster is known to have reached: the peers'
+    /// [`quorum_round`], never below this node's own round (so peers that
+    /// crashed long ago cannot hold it back). Ahead of `cur_round + 1` it
+    /// means this node is behind and paces catch-up rounds at
+    /// [`CATCHUP_ROUND_MS`]; in a healthy run it never is.
+    fn live_round_hint(&self) -> u64 {
+        quorum_round(&self.peer_rounds, self.cfg.me).max(self.cur_round)
     }
 
     /// Whether every live peer's mark for `marks[round]` is present.
@@ -1034,7 +1046,7 @@ impl<'d> NodeLoop<'d> {
         // rounds ahead — impossible in a healthy run, where no peer can get
         // two barriers past us. Pace such rounds at the accelerated deadline
         // so a rejoiner resynchronizes instead of replaying at full pace.
-        let catchup = self.live_round_hint > round + 1;
+        let catchup = self.live_round_hint() > round + 1;
         let pace_ms = if catchup {
             CATCHUP_ROUND_MS.min(self.cur_round_ms)
         } else {
@@ -1213,6 +1225,18 @@ impl<'d> NodeLoop<'d> {
     }
 }
 
+/// The highest round a majority of the `n − 1` peers has reached or passed:
+/// the `⌊(n−1)/2⌋`-th entry, 0-based, of their rounds sorted descending
+/// (`peer_rounds` is indexed by node, `me`'s own slot skipped). With
+/// `n ≥ 2t + 1` that majority includes an honest peer, so no single peer's
+/// claim moves it.
+fn quorum_round(peer_rounds: &[u64], me: NodeId) -> u64 {
+    let mut rounds = peer_rounds.to_vec();
+    rounds.remove(me.idx());
+    rounds.sort_unstable_by(|a, b| b.cmp(a));
+    rounds.get(rounds.len() / 2).copied().unwrap_or(0)
+}
+
 /// Convenience: connect and run in one call.
 pub fn run_node(
     cfg: NodeNetConfig,
@@ -1220,4 +1244,25 @@ pub fn run_node(
     input_fn: impl FnMut(NodeId, u64) -> Option<Vec<u8>>,
 ) -> io::Result<NodeReport> {
     NodeLoop::connect(cfg, driver)?.run(input_fn)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn one_peer_cannot_set_the_cluster_tempo() {
+        // n = 5, node 1 looking at peers 2..=5.
+        let me = NodeId(1);
+        // One peer claims the end of time; the majority is at round 7.
+        assert_eq!(quorum_round(&[0, u64::MAX, 7, 7, 6], me), 7);
+        // Two liars of four peers are still not a majority.
+        assert_eq!(quorum_round(&[0, u64::MAX, u64::MAX, 3, 3], me), 3);
+        // Three of four peers ahead: a real catch-up signal.
+        assert_eq!(quorum_round(&[0, 40, 41, 42, 2], me), 40);
+        // The node's own slot never votes.
+        assert_eq!(quorum_round(&[u64::MAX, 5, 5, 5, 5], me), 5);
+        // n = 4: three peers, two of which must agree.
+        assert_eq!(quorum_round(&[9, 9, 0, u64::MAX], NodeId(3)), 9);
+    }
 }

@@ -15,8 +15,9 @@
 //! * [`peer`] — address plans, listeners, and framed non-blocking
 //!   connections with reconnect support;
 //! * [`daemon`] — the node process main loop (setup barriers, paced rounds);
-//! * [`proxy`] — the chaos proxy: deterministic delay/duplicate/reorder/
-//!   partition on real packets;
+//! * [`proxy`] — the chaos proxy: the engine's link-fault model
+//!   ([`crate::chaos::LinkChaos`]: delay, duplication, partition) executed
+//!   on real packets, plus socket resets;
 //! * [`client`] — the collector that reassembles a `SimResult`-shaped
 //!   outcome (output logs, ROMs, reports, goodput) from the streams;
 //! * [`status`] — the live observability plane: the merged registry, health
@@ -29,9 +30,9 @@
 //! Determinism carries over from the simulator: protocol payloads are the
 //! same bytes, randomness is the same per-(node, round) derivation, and
 //! inbox order is reproduced by sorting deliveries on `(round, sender, seq)`
-//! — so a faithful daemon run reaches outcomes bit-identical to `run_ul`
-//! under the same seed, and a chaos run stays within the UL adversary's
-//! legal actions (delay, duplication, reordering).
+//! — so a daemon run reaches outcomes bit-identical to `run_ul` under the
+//! same seed, faithful or under the same link chaos (delay, duplication,
+//! partition: the UL adversary's legal actions).
 
 pub mod client;
 pub mod daemon;
@@ -51,5 +52,5 @@ pub use frame::{encode_frame, FrameDecoder, FrameError, MAX_FRAME};
 pub use msg::{Alarm, HealthBeacon, NetMsg, NodeReport, Severity};
 pub use status::{LiveState, StatusConn, TraceAssembler, TraceSpec};
 pub use peer::{AddrPlan, Conn, Endpoint, NetListener, NetStream};
-pub use proxy::{run_proxy, ChaosNetSpec, Partition, Proxy, ProxyConfig, ProxyStats};
+pub use proxy::{run_proxy, Proxy, ProxyConfig, ProxyStats};
 pub use state::{Load, StateDir, Watermark};

@@ -2,11 +2,13 @@
 //!
 //! In hub topology every node holds one connection to the proxy, which
 //! routes protocol frames by destination. Because all traffic crosses it,
-//! the proxy is exactly the paper's UL adversary boundary made physical: it
-//! can delay a frame by whole rounds, duplicate it, scramble arrival order,
-//! or partition the network for a window of rounds — all *deterministically*,
-//! keyed by a seed and the frame's `(round, from, to, seq)` identity, so a
-//! chaos run is reproducible bit for bit.
+//! the proxy is exactly the paper's UL adversary boundary made physical. It
+//! executes the repository's one link-fault model, [`LinkChaos::fate`] —
+//! the function the engine's [`crate::chaos::ChaosNet`] executes too — so a
+//! frame is delayed by whole rounds, duplicated, or held across a partition
+//! window *deterministically*, keyed by a seed and the frame's `(round,
+//! from, to, seq)` identity, and a daemon chaos run delivers the same frames
+//! in the same rounds as the engine run under the same `LinkChaos`.
 //!
 //! Model discipline is kept:
 //!
@@ -14,14 +16,20 @@
 //!   assumption (§2.1), so `Setup`/`SetupMark` frames are forwarded verbatim
 //!   and immediately;
 //! * **marks are faithful** — barriers are engine pacing, not protocol
-//!   messages; tampering with them would simulate a *slow engine*, not an
-//!   adversarial network;
+//!   messages; they are never dropped, delayed past need, or duplicated;
 //! * **round frames** are fair game, and every manipulation maps to a legal
-//!   UL adversary action (delayed/duplicated/reordered delivery).
+//!   UL adversary action (delayed or duplicated delivery).
+//!
+//! Delivery rounds are exact (DESIGN §3h): a round-`K` mark reaches node
+//! `R` only after `R`'s own, right behind `R`'s frames held until `K`, so a
+//! `Delay(k)` frame sent in round `w` enters `R`'s inbox in round
+//! `w + k + 1`, as in the engine. Socket resets (`reset_pct`) are the
+//! proxy's own fault, with no UL meaning and no engine counterpart.
 
 use super::msg::NetMsg;
 use super::peer::{AddrPlan, Conn, NetListener};
 use super::poll;
+use crate::chaos::{Fate, LinkChaos};
 use crate::message::NodeId;
 use proauth_primitives::sha256;
 use std::collections::BTreeMap;
@@ -29,144 +37,10 @@ use std::io;
 use std::os::fd::RawFd;
 use std::time::{Duration, Instant};
 
-/// Cap on frames parked for a node whose link is down; beyond this new
-/// frames are dropped — matching engine crash semantics.
+/// Cap on frames parked for a node whose link is down, and on marks waiting
+/// for a node to reach their round; beyond this new ones are dropped —
+/// matching engine crash semantics.
 const PENDING_CAP: usize = 4096;
-
-/// A partition window: during rounds `[start, end)`, frames between the two
-/// groups (`id <= split` vs `id > split`) are held and released when the
-/// partition heals.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Partition {
-    /// First partitioned round.
-    pub start: u64,
-    /// First healed round.
-    pub end: u64,
-    /// Largest node id of the first group.
-    pub split: u32,
-}
-
-/// Deterministic chaos parameters. All percentages are per *frame*, decided
-/// by hashing `(seed, round, from, to, seq)` — same seed, same scenario, same
-/// chaos, every run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ChaosNetSpec {
-    /// Chaos decision seed (independent of the protocol seed).
-    pub seed: u64,
-    /// Percent of round frames delayed by extra rounds.
-    pub delay_pct: u8,
-    /// Maximum extra rounds a delayed frame is held (≥ 1 when delaying).
-    pub delay_max: u64,
-    /// Percent of round frames duplicated.
-    pub dup_pct: u8,
-    /// Percent of round frames whose arrival order is scrambled (swapped with
-    /// the next frame to the same destination).
-    pub reorder_pct: u8,
-    /// Percent of `(round, node)` pairs whose proxy link is reset mid-frame
-    /// right after the node's barrier mark: the node sees a torn frame and a
-    /// dead socket, and must redial and re-handshake.
-    pub reset_pct: u8,
-    /// Optional partition window.
-    pub partition: Option<Partition>,
-}
-
-impl ChaosNetSpec {
-    /// A faithful proxy: routes everything verbatim.
-    pub fn faithful() -> Self {
-        ChaosNetSpec {
-            seed: 0,
-            delay_pct: 0,
-            delay_max: 0,
-            dup_pct: 0,
-            reorder_pct: 0,
-            reset_pct: 0,
-            partition: None,
-        }
-    }
-
-    /// Whether any manipulation is enabled.
-    pub fn is_faithful(&self) -> bool {
-        self.delay_pct == 0
-            && self.dup_pct == 0
-            && self.reorder_pct == 0
-            && self.reset_pct == 0
-            && self.partition.is_none()
-    }
-
-    /// Deterministic socket-reset decision for `(round, node)`.
-    pub fn reset_due(&self, round: u64, node: NodeId) -> bool {
-        if self.reset_pct == 0 {
-            return false;
-        }
-        let h = sha256::hash_parts(
-            "proauth/net/chaos",
-            &[
-                b"reset",
-                &self.seed.to_be_bytes(),
-                &round.to_be_bytes(),
-                &node.0.to_be_bytes(),
-            ],
-        );
-        (h[0] % 100) < self.reset_pct
-    }
-
-    /// The deterministic decision for one frame.
-    fn decide(&self, round: u64, from: NodeId, to: NodeId, seq: u32) -> ChaosDecision {
-        if self.is_faithful() {
-            return ChaosDecision::default();
-        }
-        let h = sha256::hash_parts(
-            "proauth/net/chaos",
-            &[
-                &self.seed.to_be_bytes(),
-                &round.to_be_bytes(),
-                &from.0.to_be_bytes(),
-                &to.0.to_be_bytes(),
-                &seq.to_be_bytes(),
-            ],
-        );
-        let mut d = ChaosDecision::default();
-        if self.partition_blocks(round, from, to) {
-            // Held until the partition heals; other manipulations are moot.
-            d.delay_rounds = self
-                .partition
-                .map(|p| p.end.saturating_sub(round))
-                .unwrap_or(0);
-            return d;
-        }
-        if self.delay_pct > 0 && (h[0] % 100) < self.delay_pct {
-            d.delay_rounds = 1 + (h[3] as u64) % self.delay_max.max(1);
-        }
-        if self.dup_pct > 0 && (h[1] % 100) < self.dup_pct {
-            d.duplicate = true;
-        }
-        if self.reorder_pct > 0 && (h[2] % 100) < self.reorder_pct {
-            d.reorder = true;
-        }
-        d
-    }
-
-    /// Whether the partition separates `from` and `to` at `round`.
-    fn partition_blocks(&self, round: u64, from: NodeId, to: NodeId) -> bool {
-        match self.partition {
-            Some(p) if round >= p.start && round < p.end => {
-                (from.0 <= p.split) != (to.0 <= p.split)
-            }
-            _ => false,
-        }
-    }
-}
-
-/// What happens to one frame.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-struct ChaosDecision {
-    /// Extra rounds to hold the frame (0 = forward now).
-    delay_rounds: u64,
-    /// Forward a second copy.
-    duplicate: bool,
-    /// Swap with the next frame to the same destination.
-    reorder: bool,
-}
 
 /// Proxy accounting, printed by the CLI at shutdown.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -177,8 +51,6 @@ pub struct ProxyStats {
     pub delayed: u64,
     /// Duplicate copies injected.
     pub duplicated: u64,
-    /// Frames swapped out of arrival order.
-    pub reordered: u64,
     /// Setup frames forwarded verbatim.
     pub setup_forwarded: u64,
     /// Marks fanned out.
@@ -197,8 +69,12 @@ pub struct ProxyConfig {
     pub n: usize,
     /// Address plan (the proxy listens at `plan.proxy()`).
     pub plan: AddrPlan,
-    /// Manipulation parameters.
-    pub spec: ChaosNetSpec,
+    /// Link faults applied to round frames.
+    pub link: LinkChaos,
+    /// Percent of `(round, node)` pairs whose proxy link is reset mid-frame
+    /// right after the node's barrier mark: the node sees a torn frame and a
+    /// dead socket, and must redial and re-handshake.
+    pub reset_pct: u8,
     /// Scenario digest; Hellos with a different `run_id` are rejected.
     pub run_id: u64,
     /// Exit with an error if no traffic arrives for this long.
@@ -211,13 +87,12 @@ pub struct Proxy {
     listener: NetListener,
     conns: Vec<Option<Conn>>,
     limbo: Vec<Conn>,
-    /// Highest round any node has marked complete (drives held-frame release).
-    observed_round: u64,
-    /// Held frames keyed by release round.
-    held: BTreeMap<u64, Vec<(NodeId, NetMsg)>>,
-    /// One stashed frame per destination, waiting to be swapped behind the
-    /// next frame to that destination.
-    stash: Vec<Option<NetMsg>>,
+    /// Highest round each node has marked complete.
+    marked: Vec<Option<u64>>,
+    /// Delayed frames per destination, keyed by release round.
+    held: Vec<BTreeMap<u64, Vec<NetMsg>>>,
+    /// Round marks per destination, waiting for it to mark their round.
+    early_marks: Vec<Vec<(u64, NetMsg)>>,
     /// Frames for destinations that have not connected yet (nodes start in
     /// arbitrary order; early setup traffic must not be lost).
     pending: Vec<Vec<NetMsg>>,
@@ -235,9 +110,9 @@ impl Proxy {
             listener,
             conns: (0..n).map(|_| None).collect(),
             limbo: Vec::new(),
-            observed_round: 0,
-            held: BTreeMap::new(),
-            stash: (0..n).map(|_| None).collect(),
+            marked: vec![None; n],
+            held: vec![BTreeMap::new(); n],
+            early_marks: vec![Vec::new(); n],
             pending: (0..n).map(|_| Vec::new()).collect(),
             departed: vec![false; n],
             stats: ProxyStats::default(),
@@ -268,8 +143,9 @@ impl Proxy {
             }
         }
         // Release everything still held so no frame is silently dropped.
-        self.release_held(u64::MAX);
-        self.flush_stashes();
+        for to in NodeId::all(self.cfg.n) {
+            self.release(to, u64::MAX);
+        }
         for conn in self.conns.iter_mut().flatten() {
             conn.flush_blocking(Duration::from_millis(500));
         }
@@ -433,63 +309,44 @@ impl Proxy {
             NetMsg::SetupMark { .. } => self.fan_out(from, &msg),
             NetMsg::Round {
                 round, seq, to, ..
-            } => {
-                let decision = self.cfg.spec.decide(round, from, to, seq);
-                if decision.delay_rounds > 0 {
-                    self.stats.delayed += 1;
-                    self.held
-                        .entry(round.saturating_add(decision.delay_rounds))
-                        .or_default()
-                        .push((to, msg));
-                    return;
-                }
-                if decision.duplicate {
-                    self.stats.duplicated += 1;
+            } => match self.cfg.link.fate(round, from, to, seq) {
+                Fate::Deliver => {
                     self.stats.forwarded += 1;
                     self.send_to(to, &msg);
                 }
-                if decision.reorder {
-                    match self.stash[to.idx()].take() {
-                        // A frame is already waiting: forward the new one
-                        // first, then the stashed one — a visible swap.
-                        Some(stashed) => {
-                            self.stats.reordered += 1;
-                            self.stats.forwarded += 2;
-                            self.send_to(to, &msg);
-                            self.send_to(to, &stashed);
-                        }
-                        None => {
-                            self.stash[to.idx()] = Some(msg);
-                        }
-                    }
-                    return;
-                }
-                // A stashed frame rides out behind any later frame to the
-                // same destination.
-                if let Some(stashed) = self.stash[to.idx()].take() {
-                    self.stats.reordered += 1;
+                Fate::Dup => {
+                    self.stats.duplicated += 1;
                     self.stats.forwarded += 2;
                     self.send_to(to, &msg);
-                    self.send_to(to, &stashed);
-                } else {
-                    self.stats.forwarded += 1;
                     self.send_to(to, &msg);
                 }
-            }
-            NetMsg::RoundMark { round, .. } => {
-                if round > self.observed_round {
-                    self.observed_round = round;
-                    self.release_held(round);
+                Fate::Delay(k) => {
+                    self.stats.delayed += 1;
+                    self.held[to.idx()]
+                        .entry(round.saturating_add(k))
+                        .or_default()
+                        .push(msg);
                 }
-                // Stashed frames must not be held across a barrier longer
-                // than necessary; flush before the mark goes out.
-                self.flush_stashes();
-                self.fan_out(from, &msg);
+            },
+            NetMsg::RoundMark { round, .. } => {
+                if self.marked[from.idx()].is_none_or(|m| round > m) {
+                    self.marked[from.idx()] = Some(round);
+                    self.release(from, round);
+                }
+                self.stats.marks += 1;
+                for to in NodeId::all(self.cfg.n).filter(|&id| id != from) {
+                    let i = to.idx();
+                    if self.departed[i] || self.marked[i].is_some_and(|m| m >= round) {
+                        self.send_to(to, &msg);
+                    } else if self.early_marks[i].len() < PENDING_CAP {
+                        self.early_marks[i].push((round, msg.clone()));
+                    }
+                }
                 // Socket-reset chaos: tear this node's link mid-frame right
                 // after its mark — a half-written frame, then a dead socket.
                 // The node must notice, redial, and re-handshake; its decoder
                 // must survive the torn frame.
-                if self.cfg.spec.reset_due(round, from) {
+                if self.reset_due(round, from) {
                     self.stats.resets += 1;
                     if let Some(conn) = self.conns[from.idx()].as_mut() {
                         conn.send_partial(&NetMsg::RoundMark { round, from });
@@ -498,23 +355,16 @@ impl Proxy {
                 }
             }
             NetMsg::Rejoin { node, .. } => {
-                // A restarted node announces its return: clear its departure,
-                // relay the announcement to every peer, and ack directly with
-                // the live round the hub has observed.
+                // A restarted node announces its return: clear its departure
+                // and relay the announcement to every peer; their acks tell
+                // it how far the cluster is.
                 if node >= 1 && node as usize <= self.cfg.n {
                     self.departed[NodeId(node).idx()] = false;
                 }
                 self.fan_out(from, &msg);
-                self.send_to(
-                    from,
-                    &NetMsg::RejoinAck {
-                        node: 0,
-                        round: self.observed_round,
-                    },
-                );
             }
             // Peer acks carry no destination; fan them out — receivers fold
-            // the round into their live-round hint monotonically.
+            // the round into their view of the cluster's progress.
             NetMsg::RejoinAck { .. } => self.fan_out(from, &msg),
             NetMsg::Bye { node } => {
                 if node >= 1 && node as usize <= self.cfg.n {
@@ -532,25 +382,43 @@ impl Proxy {
         }
     }
 
-    /// Forwards all held frames whose release round has been reached.
-    fn release_held(&mut self, up_to: u64) {
-        let due: Vec<u64> = self.held.range(..=up_to).map(|(k, _)| *k).collect();
-        for k in due {
-            for (to, msg) in self.held.remove(&k).unwrap_or_default() {
-                self.stats.forwarded += 1;
-                self.send_to(to, &msg);
-            }
+    /// `to` has marked `up_to`: forwards its frames held until then, then
+    /// the round marks it was waiting for — frames first, so each enters the
+    /// inbox its fate names.
+    fn release(&mut self, to: NodeId, up_to: u64) {
+        let idx = to.idx();
+        let later = match up_to.checked_add(1) {
+            Some(k) => self.held[idx].split_off(&k),
+            None => BTreeMap::new(),
+        };
+        for msg in std::mem::replace(&mut self.held[idx], later).into_values().flatten() {
+            self.stats.forwarded += 1;
+            self.send_to(to, &msg);
+        }
+        let (due, wait) = std::mem::take(&mut self.early_marks[idx])
+            .into_iter()
+            .partition::<Vec<_>, _>(|(round, _)| *round <= up_to);
+        self.early_marks[idx] = wait;
+        for (_, msg) in due {
+            self.send_to(to, &msg);
         }
     }
 
-    /// Forwards every stashed (reorder-pending) frame.
-    fn flush_stashes(&mut self) {
-        for idx in 0..self.stash.len() {
-            if let Some(msg) = self.stash[idx].take() {
-                self.stats.forwarded += 1;
-                self.send_to(NodeId::from_idx(idx), &msg);
-            }
+    /// Deterministic socket-reset decision for `(round, node)`.
+    fn reset_due(&self, round: u64, node: NodeId) -> bool {
+        if self.cfg.reset_pct == 0 {
+            return false;
         }
+        let h = sha256::hash_parts(
+            "proauth/net/chaos",
+            &[
+                b"reset",
+                &self.cfg.link.seed.to_be_bytes(),
+                &round.to_be_bytes(),
+                &node.0.to_be_bytes(),
+            ],
+        );
+        (h[0] % 100) < self.cfg.reset_pct
     }
 }
 
@@ -562,83 +430,95 @@ pub fn run_proxy(cfg: ProxyConfig) -> io::Result<ProxyStats> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::adversary::{FaithfulUl, NetView, UlAdversary};
+    use crate::chaos::{ChaosConfig, ChaosNet, FaultSchedule, Partition};
+    use crate::clock::{Schedule, TimeView};
+    use crate::message::Envelope;
 
     #[test]
     fn chaos_decisions_are_deterministic_and_bounded() {
-        let spec = ChaosNetSpec {
+        let link = LinkChaos {
             seed: 42,
             delay_pct: 30,
             delay_max: 3,
             dup_pct: 10,
-            reorder_pct: 10,
-            reset_pct: 0,
             partition: None,
         };
-        let mut delayed = 0u32;
+        let (mut delayed, mut duplicated) = (0u32, 0u32);
         for seq in 0..1000 {
-            let a = spec.decide(7, NodeId(1), NodeId(2), seq);
-            let b = spec.decide(7, NodeId(1), NodeId(2), seq);
+            let a = link.fate(7, NodeId(1), NodeId(2), seq);
+            let b = link.fate(7, NodeId(1), NodeId(2), seq);
             assert_eq!(a, b, "decisions must be reproducible");
-            if a.delay_rounds > 0 {
-                delayed += 1;
-                assert!(a.delay_rounds <= 3);
+            match a {
+                Fate::Delay(k) => {
+                    delayed += 1;
+                    assert!((1..=3).contains(&k), "delay {k}");
+                }
+                Fate::Dup => duplicated += 1,
+                Fate::Deliver => {}
             }
         }
-        // ~30% of 1000, generously bracketed.
+        // ~30% of 1000 delayed and ~10% of the rest duplicated, generously
+        // bracketed.
         assert!((150..450).contains(&delayed), "delayed={delayed}");
+        assert!((20..150).contains(&duplicated), "duplicated={duplicated}");
     }
 
     #[test]
     fn partition_blocks_cross_group_only() {
-        let spec = ChaosNetSpec {
+        let link = LinkChaos {
             partition: Some(Partition {
                 start: 10,
                 end: 20,
                 split: 3,
             }),
-            ..ChaosNetSpec::faithful()
+            ..LinkChaos::default()
         };
-        // Cross-group, inside the window: held until healing.
-        let d = spec.decide(12, NodeId(1), NodeId(5), 0);
-        assert_eq!(d.delay_rounds, 8);
+        // Cross-group, inside the window: held until healing, both ways.
+        assert_eq!(link.fate(12, NodeId(1), NodeId(5), 0), Fate::Delay(8));
+        assert_eq!(link.fate(19, NodeId(5), NodeId(3), 0), Fate::Delay(1));
         // Same group: untouched.
-        assert_eq!(spec.decide(12, NodeId(1), NodeId(3), 0).delay_rounds, 0);
+        assert_eq!(link.fate(12, NodeId(1), NodeId(3), 0), Fate::Deliver);
+        assert_eq!(link.fate(12, NodeId(4), NodeId(5), 0), Fate::Deliver);
         // Outside the window: untouched.
-        assert_eq!(spec.decide(20, NodeId(1), NodeId(5), 0).delay_rounds, 0);
-        assert_eq!(spec.decide(9, NodeId(1), NodeId(5), 0).delay_rounds, 0);
+        assert_eq!(link.fate(20, NodeId(1), NodeId(5), 0), Fate::Deliver);
+        assert_eq!(link.fate(9, NodeId(1), NodeId(5), 0), Fate::Deliver);
     }
 
-    /// Frames parked anywhere in the proxy for `to`: link-down backlog, held
-    /// for a later round, or stashed for a swap.
-    fn parked(proxy: &Proxy, to: NodeId) -> usize {
-        proxy.pending[to.idx()].len()
-            + proxy.held.values().flatten().filter(|(dest, _)| *dest == to).count()
-            + usize::from(proxy.stash[to.idx()].is_some())
-    }
-
-    #[test]
-    fn frames_addressed_outside_the_network_are_rejected_not_indexed() {
-        // No node ever connects: `route` is driven directly, so every frame
-        // the proxy accepts ends up parked somewhere for its destination.
-        let n = 3;
-        let dir = std::env::temp_dir().join(format!("proauth-proxy-{}", std::process::id()));
+    /// Binds a proxy no node ever connects to: `route` is driven directly,
+    /// so every frame it accepts ends up parked for its destination.
+    fn idle_proxy(tag: &str, n: usize, link: LinkChaos) -> (Proxy, std::path::PathBuf) {
+        let dir = std::env::temp_dir().join(format!("proauth-proxy-{}-{tag}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let mut proxy = Proxy::bind(ProxyConfig {
+        let proxy = Proxy::bind(ProxyConfig {
             n,
             plan: AddrPlan::Unix { dir: dir.clone() },
-            spec: ChaosNetSpec {
-                seed: 9,
-                delay_pct: 40,
-                delay_max: 3,
-                dup_pct: 40,
-                reorder_pct: 40,
-                reset_pct: 0,
-                partition: None,
-            },
+            link,
+            reset_pct: 0,
             run_id: 0,
             idle_timeout_ms: 1_000,
         })
         .unwrap();
+        (proxy, dir)
+    }
+
+    /// Frames parked anywhere in the proxy for `to`: link-down backlog or
+    /// held for a later round.
+    fn parked(proxy: &Proxy, to: NodeId) -> usize {
+        proxy.pending[to.idx()].len() + proxy.held[to.idx()].values().map(Vec::len).sum::<usize>()
+    }
+
+    #[test]
+    fn frames_addressed_outside_the_network_are_rejected_not_indexed() {
+        let n = 3;
+        let link = LinkChaos {
+            seed: 9,
+            delay_pct: 40,
+            delay_max: 3,
+            dup_pct: 40,
+            partition: None,
+        };
+        let (mut proxy, dir) = idle_proxy("reject", n, link);
         let from = NodeId(1);
         let round_to = |round: u64, seq: u32, to: NodeId| NetMsg::Round {
             round,
@@ -675,7 +555,7 @@ mod tests {
             "a rejected frame takes no chaos path"
         );
         assert!(NodeId::all(n).all(|id| parked(&proxy, id) == 0));
-        assert!(proxy.held.is_empty());
+        assert!(proxy.held.iter().all(BTreeMap::is_empty));
 
         // A round number from the same untrusted frame must not overflow the
         // release key; well-formed frames still reach their destination's
@@ -685,8 +565,8 @@ mod tests {
             proxy.route(from, round_to(u64::MAX, seq, to));
             proxy.route(from, round_to(3, seq, to));
         }
-        assert!(proxy.stats.delayed > 0 && proxy.held.contains_key(&u64::MAX));
-        assert!(proxy.stats.duplicated > 0 && proxy.stats.reordered > 0);
+        assert!(proxy.stats.delayed > 0 && proxy.held[to.idx()].contains_key(&u64::MAX));
+        assert!(proxy.stats.duplicated > 0);
         assert_eq!(parked(&proxy, to), 64 + proxy.stats.duplicated as usize);
         assert_eq!(parked(&proxy, NodeId(3)), 0);
         assert_eq!(proxy.stats.rejected, 32 * 3 * 2);
@@ -697,9 +577,115 @@ mod tests {
 
     #[test]
     fn faithful_spec_is_identity() {
-        let spec = ChaosNetSpec::faithful();
-        assert!(spec.is_faithful());
-        let d = spec.decide(5, NodeId(1), NodeId(2), 9);
-        assert_eq!(d, ChaosDecision::default());
+        let link = LinkChaos::default();
+        assert!(link.is_faithful());
+        for seq in 0..100 {
+            assert_eq!(link.fate(5, NodeId(1), NodeId(2), seq), Fate::Deliver);
+        }
+    }
+
+    #[test]
+    fn engine_and_proxy_execute_the_same_fates() {
+        // Every node sends to every other for ten rounds; the proxy gets
+        // the frames as `Round`s, the engine's `ChaosNet` as one round's
+        // sent set at a time. Both must hold the same frames until the same
+        // round and duplicate the same ones.
+        let (n, rounds) = (4usize, 10u64);
+        let link = LinkChaos {
+            seed: 5,
+            delay_pct: 25,
+            delay_max: 3,
+            dup_pct: 15,
+            partition: Some(Partition {
+                start: 3,
+                end: 6,
+                split: 2,
+            }),
+        };
+        let frame = |w: u64, from: NodeId, to: NodeId, seq: u32| {
+            format!("{w}:{}:{}:{seq}", from.0, to.0).into_bytes()
+        };
+        let (mut proxy, dir) = idle_proxy("parity", n, link);
+        let chaos = ChaosConfig {
+            link,
+            ..ChaosConfig::default()
+        };
+        let mut engine = ChaosNet::new(FaithfulUl, chaos, FaultSchedule::default(), n);
+        let schedule = Schedule::new(10, 2, 2);
+        let (quiet, ops) = (vec![false; n], vec![true; n]);
+        // (frame, round it is released in) for held frames; frames copied.
+        let mut engine_held = BTreeMap::new();
+        let mut engine_dup = Vec::new();
+        for w in 0..rounds + link.delay_max + 4 {
+            let mut sent = Vec::new();
+            for from in NodeId::all(n).filter(|_| w < rounds) {
+                for (seq, to) in NodeId::all(n).filter(|&to| to != from).enumerate() {
+                    let payload = frame(w, from, to, seq as u32);
+                    proxy.route(
+                        from,
+                        NetMsg::Round {
+                            round: w,
+                            seq: seq as u32,
+                            from,
+                            to,
+                            payload: payload.clone(),
+                        },
+                    );
+                    sent.push(Envelope::new(from, to, payload));
+                }
+            }
+            let view = NetView {
+                time: TimeView::at(&schedule, w),
+                n,
+                broken: &quiet,
+                crashed: &quiet,
+                operational: &ops,
+                last_delivered: &[],
+                broken_inboxes: &[],
+            };
+            let out: Vec<Vec<u8>> = engine
+                .deliver(&sent, &view)
+                .into_iter()
+                .map(|e| e.payload.to_vec())
+                .collect();
+            for (i, p) in out.iter().enumerate() {
+                let sent_in: u64 = std::str::from_utf8(p).unwrap().split(':').next().unwrap().parse().unwrap();
+                if sent_in < w {
+                    engine_held.insert(p.clone(), w);
+                } else if out.get(i + 1) == Some(p) {
+                    engine_dup.push(p.clone());
+                }
+            }
+        }
+        let proxy_held: BTreeMap<Vec<u8>, u64> = NodeId::all(n)
+            .flat_map(|to| proxy.held[to.idx()].iter())
+            .flat_map(|(&release, msgs)| {
+                msgs.iter().map(move |m| match m {
+                    NetMsg::Round { payload, .. } => (payload.clone(), release),
+                    other => panic!("held a non-round frame {other:?}"),
+                })
+            })
+            .collect();
+        let mut proxy_dup = Vec::new();
+        for to in NodeId::all(n) {
+            for pair in proxy.pending[to.idx()].windows(2) {
+                if pair[0] == pair[1] {
+                    if let NetMsg::Round { payload, .. } = &pair[0] {
+                        proxy_dup.push(payload.clone());
+                    }
+                }
+            }
+        }
+        engine_dup.sort();
+        proxy_dup.sort();
+        assert!(!proxy_held.is_empty() && !proxy_dup.is_empty(), "both fates fired");
+        assert!(
+            proxy_held.values().any(|&r| r == 6),
+            "the partition held frames until its heal"
+        );
+        assert_eq!(engine_held, proxy_held, "same frames held until the same round");
+        assert_eq!(engine_dup, proxy_dup, "same frames duplicated");
+        drop(proxy);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -8,42 +8,6 @@ use crate::runner::{SimResult, SimStats};
 use proauth_telemetry::Telemetry;
 use std::fmt;
 use std::fmt::Write as _;
-use std::time::Duration;
-
-/// Wall-clock throughput of a run, for benchmark reporting.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ThroughputSummary {
-    /// Rounds executed per second.
-    pub rounds_per_sec: f64,
-    /// Honest messages sent per second.
-    pub msgs_per_sec: f64,
-    /// Honest payload bytes sent per second.
-    pub bytes_per_sec: f64,
-}
-
-impl ThroughputSummary {
-    /// Derives throughput from a run's statistics and its wall-clock time.
-    pub fn from_run(stats: &SimStats, total_rounds: u64, elapsed: Duration) -> Self {
-        let secs = elapsed.as_secs_f64().max(f64::EPSILON);
-        ThroughputSummary {
-            rounds_per_sec: total_rounds as f64 / secs,
-            msgs_per_sec: stats.messages_sent as f64 / secs,
-            bytes_per_sec: stats.bytes_sent as f64 / secs,
-        }
-    }
-}
-
-impl fmt::Display for ThroughputSummary {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{:.1} rounds/s, {:.1} msgs/s, {:.1} KiB/s",
-            self.rounds_per_sec,
-            self.msgs_per_sec,
-            self.bytes_per_sec / 1024.0
-        )
-    }
-}
 
 impl fmt::Display for SimStats {
     /// The operator-facing traffic line, including the adversary-side
@@ -321,19 +285,6 @@ mod tests {
         let text = format!("{}", unit_summaries(&result, &schedule)[0]);
         assert!(text.contains("ALERT×1"));
         assert!(text.contains("RECOVERED"));
-    }
-
-    #[test]
-    fn throughput_summary_from_run() {
-        let stats = SimStats {
-            messages_sent: 1000,
-            bytes_sent: 4096,
-            ..SimStats::default()
-        };
-        let t = ThroughputSummary::from_run(&stats, 100, Duration::from_secs(2));
-        assert!((t.rounds_per_sec - 50.0).abs() < 1e-9);
-        assert!((t.msgs_per_sec - 500.0).abs() < 1e-9);
-        assert!(format!("{t}").contains("rounds/s"));
     }
 
     #[test]

@@ -20,16 +20,19 @@
 //!           proxy, --report streams events to the collector,
 //!           --round-ms/--min-round-ms tune wall-clock round pacing
 //!   proxy   the adversarial router: --n --addr plus --delay <pct>
-//!           --delay-max <rounds> --dup <pct> --reorder <pct>
-//!           --reset <pct> --partition <start:end:split> --chaos-seed <int>
+//!           --delay-max <rounds> --dup <pct> --partition <start:end:split>
+//!           --chaos-seed <int> (the engine's link-fault model) and
+//!           --reset <pct> (socket resets, proxy only)
 //!   client  the collector: --n --addr; prints the goodput report once all
 //!           nodes delivered their final reports
 //!   daemon  orchestrator: spawns n `serve` processes (plus a `proxy` when
 //!           any chaos flag is set), runs the collector inline, prints the
 //!           goodput report; --check verifies the outcome against the
-//!           in-process engine (bit-identical outputs AND flight-recorder
-//!           trace without chaos; certified keys + zero forgeries +
-//!           liveness under chaos)
+//!           in-process engine under the same link chaos: bit-identical
+//!           output logs and ROMs (plus the flight-recorder trace without
+//!           chaos); runs with --kill or --reset, which the engine cannot
+//!           replay, are held to certified keys + zero forgeries +
+//!           liveness
 //!   top     scrape a running daemon's live status socket: --addr plus
 //!           --view metrics|json|top (default top), --once for a single
 //!           snapshot, --interval <ms> to refresh (default 1000)
@@ -117,6 +120,7 @@ use proauth_crypto::group::{Group, GroupId};
 use proauth_sim::adversary::{
     BreakPlan, FaithfulUl, NetView, UlAdversary,
 };
+use proauth_sim::chaos::{ChaosConfig, ChaosNet, FaultSchedule, LinkChaos, Partition};
 use proauth_sim::clock::TimeView;
 use proauth_sim::message::{Envelope, NodeId, OutputEvent};
 use proauth_sim::runner::{run_ul, SimConfig, SimResult};
@@ -172,7 +176,7 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> HashMap<String, String>
             "n" | "t" | "units" | "normal" | "seed" | "group" | "auth" | "adversary"
             | "trace" | "rate" | "mix" | "node" | "addr" | "round-ms"
             | "min-round-ms" | "connect-timeout" | "idle-timeout" | "chaos-seed" | "delay"
-            | "delay-max" | "dup" | "reorder" | "partition" | "windows" | "adapt-floor-ms"
+            | "delay-max" | "dup" | "partition" | "windows" | "adapt-floor-ms"
             | "interval" | "view" | "state-dir" | "kill" | "max-restarts" | "restart-window"
             | "backoff-ms" | "reset" | "hosts" | "local" => {
                 let Some(value) = args.next() else {
@@ -991,19 +995,9 @@ impl NetScenario {
         UlsNode::new(c, id, HeartbeatApp::default())
     }
 
-    /// The equivalent in-process engine run, for `--check`.
-    fn engine_run(&self) -> SimResult {
-        let mut cfg = SimConfig::new(self.n, self.t, self.schedule());
-        cfg.setup_rounds = SETUP_ROUNDS;
-        cfg.total_rounds = self.total_rounds();
-        cfg.seed = self.seed;
-        cfg.parallel = false;
-        run_ul(cfg, |id| self.make_node(id), &mut FaithfulUl)
-    }
-
-    /// The engine run's flight-recorder trace (JSONL), for the daemon-trace
-    /// equality check.
-    fn engine_trace(&self) -> String {
+    /// The equivalent in-process engine run under the same link chaos, for
+    /// `--check`, with its flight-recorder trace (JSONL).
+    fn engine_run(&self, link: LinkChaos) -> (SimResult, String) {
         let (tele, buf) = proauth_sim::telemetry::Telemetry::with_memory_sink();
         let mut cfg = SimConfig::new(self.n, self.t, self.schedule());
         cfg.setup_rounds = SETUP_ROUNDS;
@@ -1011,8 +1005,13 @@ impl NetScenario {
         cfg.seed = self.seed;
         cfg.parallel = false;
         cfg.telemetry = tele;
-        run_ul(cfg, |id| self.make_node(id), &mut FaithfulUl);
-        proauth_sim::telemetry::memory_contents(&buf)
+        let chaos = ChaosConfig {
+            link,
+            ..ChaosConfig::default()
+        };
+        let mut adv = ChaosNet::new(FaithfulUl, chaos, FaultSchedule::default(), self.n);
+        let result = run_ul(cfg, |id| self.make_node(id), &mut adv);
+        (result, proauth_sim::telemetry::memory_contents(&buf))
     }
 
     /// The collector-side trace-assembly spec for this scenario.
@@ -1032,9 +1031,8 @@ fn default_sock_dir() -> std::path::PathBuf {
     std::env::temp_dir().join(format!("proauth-daemon-{}", std::process::id()))
 }
 
-/// Chaos flags shared by `proxy` and `daemon`.
-fn chaos_spec_from_args(args: &HashMap<String, String>) -> proauth_sim::net::ChaosNetSpec {
-    use proauth_sim::net::{ChaosNetSpec, Partition};
+/// Link-chaos flags shared by `proxy` and `daemon`.
+fn link_chaos_from_args(args: &HashMap<String, String>) -> LinkChaos {
     let partition = args.get("partition").map(|spec| {
         let parts: Vec<u64> = spec.split(':').filter_map(|s| s.parse().ok()).collect();
         if parts.len() != 3 {
@@ -1047,13 +1045,11 @@ fn chaos_spec_from_args(args: &HashMap<String, String>) -> proauth_sim::net::Cha
             split: parts[2] as u32,
         }
     });
-    ChaosNetSpec {
+    LinkChaos {
         seed: get(args, "chaos-seed", 0),
         delay_pct: get(args, "delay", 0),
         delay_max: get(args, "delay-max", 2),
         dup_pct: get(args, "dup", 0),
-        reorder_pct: get(args, "reorder", 0),
-        reset_pct: get(args, "reset", 0),
         partition,
     }
 }
@@ -1152,28 +1148,28 @@ fn proxy_main(args: &HashMap<String, String>) -> ! {
     use proauth_sim::net::{run_proxy, ProxyConfig};
 
     let sc = NetScenario::from_args(args);
-    let spec = chaos_spec_from_args(args);
+    let link = link_chaos_from_args(args);
+    let reset_pct: u8 = get(args, "reset", 0);
     let cfg = ProxyConfig {
         n: sc.n,
         plan: sc.plan.clone(),
-        spec,
+        link,
+        reset_pct,
         run_id: sc.run_id(),
         idle_timeout_ms: get(args, "idle-timeout", 60_000),
     };
     println!(
-        "proxy: n={} chaos: delay {}%/{}r dup {}% reorder {}% reset {}% partition {:?}",
-        sc.n, spec.delay_pct, spec.delay_max, spec.dup_pct, spec.reorder_pct, spec.reset_pct,
-        spec.partition
+        "proxy: n={} chaos: delay {}%/{}r dup {}% reset {}% partition {:?}",
+        sc.n, link.delay_pct, link.delay_max, link.dup_pct, reset_pct, link.partition
     );
     match run_proxy(cfg) {
         Ok(stats) => {
             println!(
-                "proxy: forwarded {} delayed {} duplicated {} reordered {} resets {} \
+                "proxy: forwarded {} delayed {} duplicated {} resets {} \
                  rejected {} setup {} marks {}",
                 stats.forwarded,
                 stats.delayed,
                 stats.duplicated,
-                stats.reordered,
                 stats.resets,
                 stats.rejected,
                 stats.setup_forwarded,
@@ -1351,10 +1347,10 @@ fn top_main(args: &HashMap<String, String>) -> ! {
     }
 }
 
-/// Checks a chaos-run outcome against the protocol's promises: certified
-/// keys match the engine's, every node made progress, and nothing was
-/// accepted that its claimed sender never sends. Returns human-readable
-/// failures (empty = pass).
+/// Checks a kill or socket-reset run — faults the engine cannot replay —
+/// against the protocol's promises: certified keys match the engine's,
+/// every node made progress, and nothing was accepted that its claimed
+/// sender never sends. Returns human-readable failures (empty = pass).
 ///
 /// Restarted nodes are read off the collector's `node_restarted` alarm
 /// stream (the supervisor emits one per respawn, stamped with the observed
@@ -1479,8 +1475,9 @@ fn daemon_main(args: &HashMap<String, String>) -> ! {
     use std::time::{Duration, Instant};
 
     let sc = NetScenario::from_args(args);
-    let spec = chaos_spec_from_args(args);
-    let chaos = !spec.is_faithful();
+    let link = link_chaos_from_args(args);
+    let reset_pct: u8 = get(args, "reset", 0);
+    let chaos = !link.is_faithful() || reset_pct > 0;
     let check = args.contains_key("check");
     let round_ms: u64 = get(args, "round-ms", 1_000);
 
@@ -1550,9 +1547,8 @@ fn daemon_main(args: &HashMap<String, String>) -> ! {
     );
     if chaos {
         println!(
-            "chaos proxy: delay {}%/{}r dup {}% reorder {}% reset {}% partition {:?} (seed {})",
-            spec.delay_pct, spec.delay_max, spec.dup_pct, spec.reorder_pct, spec.reset_pct,
-            spec.partition, spec.seed
+            "chaos proxy: delay {}%/{}r dup {}% reset {}% partition {:?} (seed {})",
+            link.delay_pct, link.delay_max, link.dup_pct, reset_pct, link.partition, link.seed
         );
     } else {
         println!("topology: direct full mesh (no proxy)");
@@ -1765,7 +1761,7 @@ fn daemon_main(args: &HashMap<String, String>) -> ! {
     if chaos {
         let mut argv = vec!["proxy".to_owned()];
         argv.extend(scenario_argv());
-        for key in ["chaos-seed", "delay", "delay-max", "dup", "reorder", "reset", "partition"] {
+        for key in ["chaos-seed", "delay", "delay-max", "dup", "reset", "partition"] {
             if let Some(v) = args.get(key) {
                 argv.push(format!("--{key}"));
                 argv.push(v.clone());
@@ -2018,29 +2014,43 @@ fn daemon_main(args: &HashMap<String, String>) -> ! {
 
     if check {
         println!("\nchecking against the in-process engine...");
-        let engine = sc.engine_run();
-        // Kill schedules disturb the run the same way link chaos does: the
-        // certified keys and safety properties must hold exactly, but
-        // per-round output logs are no longer bit-comparable (a rejoined
-        // node's log starts at its resume watermark).
-        let disturbed = chaos || !kill_plan.kills.is_empty();
-        let failures = if disturbed {
+        let (engine, engine_trace) = sc.engine_run(link);
+        // Kills and socket resets have no engine counterpart (a rejoined
+        // node's log starts at its resume watermark), so those runs keep the
+        // weak contract. Link chaos is the engine's own `LinkChaos`: the
+        // daemon must deliver the same frames in the same rounds, hence
+        // reach bit-identical output logs and ROMs.
+        let weak = reset_pct > 0 || !kill_plan.kills.is_empty();
+        let failures = if weak {
             check_chaos_outcome(&sc, &outcome, &engine)
         } else {
-            // No chaos: the daemon must be bit-identical to the engine.
-            let mut fails = check_chaos_outcome(&sc, &outcome, &engine);
+            let mut fails = Vec::new();
+            if outcome.roms != engine.roms {
+                fails.push("ROMs (certified keys) diverged from the engine run".to_owned());
+            }
             for id in NodeId::all(sc.n) {
-                if outcome.outputs[id.idx()] != engine.outputs[id.idx()] {
+                // The engine also logs `Compromised`/`Recovered`, derived
+                // from global link ground truth rather than by any node.
+                let node_emitted = engine.outputs[id.idx()].iter().filter(|(_, e)| {
+                    !matches!(e, OutputEvent::Compromised | OutputEvent::Recovered)
+                });
+                if !outcome.outputs[id.idx()].iter().eq(node_emitted) {
                     fails.push(format!("{id} output log diverged from the engine"));
                 }
+                if outcome.reports[id.idx()].rounds != sc.total_rounds() {
+                    fails.push(format!("{id} did not complete all rounds"));
+                }
             }
-            // Golden-trace guarantee, daemon edition: the collector-assembled
-            // trace, stripped of wall-clock fields, must be byte-identical to
-            // the engine's flight recorder.
+            // Golden-trace guarantee, daemon edition: without chaos the
+            // collector-assembled trace, stripped of wall-clock fields, must
+            // be byte-identical to the engine's flight recorder (under chaos
+            // the engine's trace also counts the adversary's actions, which
+            // no node observes).
             use proauth_sim::telemetry::strip_wall_fields;
             match &outcome.trace {
+                _ if chaos => {}
                 Some(trace) => {
-                    if strip_wall_fields(trace) != strip_wall_fields(&sc.engine_trace()) {
+                    if strip_wall_fields(trace) != strip_wall_fields(&engine_trace) {
                         fails.push("assembled trace diverged from the engine trace".to_owned());
                     }
                 }
@@ -2059,8 +2069,14 @@ fn daemon_main(args: &HashMap<String, String>) -> ! {
                 .count_events(|e| matches!(e, OutputEvent::Accepted { .. }));
             println!(
                 "check PASSED: certified keys match, zero forgeries, all nodes live \
-                 (daemon accepted {accepted_daemon}, engine {accepted_engine}{})",
-                if disturbed { ", chaos run" } else { ", bit-identical" }
+                 (daemon accepted {accepted_daemon}, engine {accepted_engine}, {})",
+                if weak {
+                    "kill/reset run: weak contract"
+                } else if chaos {
+                    "bit-identical under link chaos"
+                } else {
+                    "bit-identical"
+                }
             );
         } else {
             println!("check FAILED:");

@@ -84,3 +84,64 @@ fn chaos_soak_sweep() {
         );
     }
 }
+
+/// ci.sh's over-budget daemon leg (`daemon --n 5 --t 1 --units 2
+/// --partition 4:12:<split>`, seed 0) replayed on the engine, whose
+/// `ChaosNet` executes the same `LinkChaos` the chaos proxy does, with
+/// disconnection threshold `s` (the daemon uses `s = t`).
+fn partition_run(split: u32, s: usize) -> proauth_sim::SimResult {
+    use proauth_core::authenticator::HeartbeatApp;
+    use proauth_core::uls::{uls_schedule, UlsConfig, UlsNode, SETUP_ROUNDS};
+    use proauth_crypto::group::{Group, GroupId};
+    use proauth_sim::adversary::FaithfulUl;
+    use proauth_sim::chaos::{ChaosConfig, ChaosNet, FaultSchedule, LinkChaos, Partition};
+    use proauth_sim::runner::{run_ul, SimConfig};
+    let (n, t) = (5, 1);
+    let schedule = uls_schedule(NORMAL);
+    let mut cfg = SimConfig::new(n, s, schedule);
+    cfg.setup_rounds = SETUP_ROUNDS;
+    cfg.total_rounds = schedule.unit_rounds * 2;
+    let link = LinkChaos {
+        partition: Some(Partition {
+            start: 4,
+            end: 12,
+            split,
+        }),
+        ..LinkChaos::default()
+    };
+    let chaos = ChaosConfig {
+        link,
+        ..ChaosConfig::default()
+    };
+    let mut adv = ChaosNet::new(FaithfulUl, chaos, FaultSchedule::default(), n);
+    let group = Group::new(GroupId::Toy64);
+    run_ul(
+        cfg,
+        |id| UlsNode::new(UlsConfig::new(group.clone(), n, t), id, HeartbeatApp::default()),
+        &mut adv,
+    )
+}
+
+#[test]
+fn partition_verdicts_on_the_engine() {
+    // Definition 7 with t = 1: a unit is over budget once more than one
+    // node is broken or not s-operational. No node is broken here, so the
+    // partition alone decides.
+    let over = |r: &proauth_sim::SimResult| r.stats.unit_scores[0].non_operational > 1;
+    // ci.sh's scenario (s = t = 1, nodes {1,2} vs {3,4,5}) is over budget:
+    // its `budget_exceeded` expectation is right.
+    assert!(over(&partition_run(2, 1)));
+    // At s = 1 even cutting off node 1 alone is: every other node then has
+    // an unreliable link to an operational peer, which s = 1 does not allow
+    // (Definition 5), and with nobody operational throughout the next
+    // refresh no node can ever rejoin.
+    let lone = partition_run(1, 1);
+    assert!(over(&lone));
+    assert!(lone.final_operational.iter().all(|&op| !op));
+    // At s = 2, the largest s Lemma 15 allows at n = 5, the one-node
+    // partition stays within budget and heals; the 2:3 split does not.
+    let lone = partition_run(1, 2);
+    assert!(lone.stats.unit_scores.iter().all(|u| u.non_operational <= 1));
+    assert!(lone.final_operational.iter().all(|&op| op));
+    assert!(over(&partition_run(2, 2)));
+}

@@ -168,3 +168,54 @@ fn main_text_rule_ablation_reports_more_compromised_nodes() {
     // Under the parenthetical rule the network fully heals.
     assert!(lax.final_operational.iter().all(|&b| b));
 }
+
+#[test]
+fn honest_outputs_do_not_depend_on_arrival_order() {
+    // A round's deliveries are a *set*: an adversary that permutes every
+    // round's delivered set (seeded per round) must leave every ROM and
+    // every round's output events exactly as under faithful delivery. The
+    // log lists a round's events in the order their messages arrived (node
+    // 1's first difference: round 2, `Accepted` from node 5 where faithful
+    // delivery lists node 3 first), so the events are compared per round as
+    // multisets.
+    use proauth_sim::adversary::{FaithfulUl, NetView, UlAdversary};
+    use proauth_sim::message::{Envelope, OutputLog};
+    use proauth_sim::runner::SimResult;
+    use rand::rngs::StdRng;
+    use rand::seq::SliceRandom;
+    use rand::SeedableRng;
+    struct Shuffler;
+    impl UlAdversary for Shuffler {
+        fn deliver(&mut self, sent: &[Envelope], view: &NetView<'_>) -> Vec<Envelope> {
+            let mut out = sent.to_vec();
+            out.shuffle(&mut StdRng::seed_from_u64(0x5A1F ^ view.time.round));
+            out
+        }
+    }
+    fn run(adv: &mut impl UlAdversary) -> SimResult {
+        let (n, t) = (7, 3);
+        let schedule = uls_schedule(NORMAL);
+        let mut c = SimConfig::new(n, t, schedule);
+        c.setup_rounds = SETUP_ROUNDS;
+        c.total_rounds = schedule.unit_rounds * 2;
+        c.seed = 45;
+        let group = Group::new(GroupId::Toy64);
+        run_ul(
+            c,
+            |id| UlsNode::new(UlsConfig::new(group.clone(), n, t), id, HeartbeatApp::default()),
+            adv,
+        )
+    }
+    let per_round = |log: &OutputLog| {
+        let mut events: Vec<(u64, String)> = log.iter().map(|(r, e)| (*r, format!("{e:?}"))).collect();
+        events.sort();
+        events
+    };
+    let faithful = run(&mut FaithfulUl);
+    let shuffled = run(&mut Shuffler);
+    assert_eq!(faithful.roms, shuffled.roms);
+    for (i, (a, b)) in faithful.outputs.iter().zip(&shuffled.outputs).enumerate() {
+        assert_eq!(per_round(a), per_round(b), "node {} outputs depend on arrival order", i + 1);
+    }
+    assert!(faithful.stats.messages_sent > 0 && faithful.final_operational.iter().all(|&b| b));
+}

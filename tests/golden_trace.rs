@@ -16,7 +16,7 @@ use proauth_core::authenticator::HeartbeatApp;
 use proauth_core::uls::{uls_schedule, UlsConfig, UlsNode, SETUP_ROUNDS};
 use proauth_crypto::group::{Group, GroupId};
 use proauth_sim::adversary::{BreakPlan, NetView, UlAdversary};
-use proauth_sim::chaos::{ChaosConfig, ChaosNet};
+use proauth_sim::chaos::{ChaosConfig, ChaosNet, LinkChaos};
 use proauth_sim::clock::TimeView;
 use proauth_sim::message::{Envelope, NodeId};
 use proauth_sim::runner::{run_ul, SimConfig, SimResult};
@@ -64,8 +64,8 @@ fn run_traced(parallel: bool, threads: usize) -> (SimResult, String) {
         UlsNode::new(c, id, HeartbeatApp::default())
     };
     // Chaos on top of the break-ins and drops: scheduled crash–restarts plus
-    // chaotic delivery (delay, duplication, reordering). Every knob at once —
-    // the trace must still be a pure function of (config, seed, adversary).
+    // link faults (delay, duplication). Every knob at once — the trace must
+    // still be a pure function of (config, seed, adversary).
     let chaos = ChaosConfig {
         crash_p: 0.01,
         boundary_crash_p: 0.5,
@@ -73,9 +73,12 @@ fn run_traced(parallel: bool, threads: usize) -> (SimResult, String) {
         max_down: 2,
         presumed_down: None,
         target: None,
-        delay_p: 0.02,
-        dup_p: 0.02,
-        reorder: true,
+        link: LinkChaos {
+            seed: 0xC405,
+            delay_pct: 2,
+            dup_pct: 2,
+            ..LinkChaos::default()
+        },
     };
     let mut adv = ChaosNet::compile(
         ActiveAdversary {
