@@ -55,11 +55,11 @@ cargo test -q -p proauth-tests --release --test hierarchy
 # identical refresh-bearing horizon.
 cargo test -q -p proauth-tests --release --test hierarchy -- --ignored
 
-# E7 smoke: partition arithmetic tables plus one end-to-end hierarchy run
-# at n = 64. The full grid — flat n = 64 comparator and hierarchy runs at
-# n = 128 / 256, the numbers behind BENCH_e7.json — runs with
-# PROAUTH_E7=full (optionally CRITERION_JSON=BENCH_e7.json to re-emit it).
-cargo bench -p proauth-bench --bench e7_partition
+# The full grids behind EXPERIMENTS.md's verdicts (release): Lemma 15 at
+# n = 16 and under random cut placement, §6 message counts to n = 25, the
+# 40-run Definition 12 sweep, and the certification hijack of every victim
+# under five seeds. Their small instances run in tier-1.
+cargo test -q -p proauth-tests --release --test experiments --test attacks -- --ignored
 
 # Daemon smoke: n = 5 real node processes plus the chaos proxy over Unix
 # sockets, 2 units (so one full proactive refresh) with delay, duplication

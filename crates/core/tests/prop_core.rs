@@ -153,23 +153,34 @@ proptest! {
 
     #[test]
     fn pa_never_splits_under_arbitrary_cheater_values(
-        n in 3usize..8,
+        n in 3usize..=13,
+        cheaters_raw in any::<usize>(),
+        // Honest inputs, one per node, from a pool of two values.
+        honest_inputs in proptest::collection::vec(any::<bool>(), 13),
         cheater_values in proptest::collection::vec(
             proptest::collection::vec(any::<u8>(), 0..3), 1..8),
         seed in any::<u64>(),
     ) {
-        // One cheater (node 1) sends arbitrary per-recipient values; honest
-        // nodes share input "h". Lemma 16 property 2 must hold among honest.
+        // Lemma 16 with up to ⌊(n−1)/2⌋ cheaters (nodes 1..=c), each sending
+        // every recipient its own value: one of the two honest inputs or an
+        // arbitrary one. Honest nodes relay everything as evidence.
+        let cheaters = cheaters_raw % ((n - 1) / 2 + 1);
+        let is_cheater = |node: u32| node as usize <= cheaters;
+        let honest: Vec<u32> = (1..=n as u32).filter(|&i| !is_cheater(i)).collect();
+        let pool = [b"h".to_vec(), b"g".to_vec()];
+        let input = |node: u32| pool[usize::from(honest_inputs[node as usize - 1])].clone();
         let mut rng = StdRng::seed_from_u64(seed);
         use rand::Rng;
         let mut instances: Vec<PaInstance> = (0..n).map(|_| PaInstance::new(n)).collect();
         let mut sent: Vec<Vec<Vec<u8>>> = vec![vec![Vec::new(); n]; n];
         for sender in 1..=n as u32 {
             for recv in 1..=n as u32 {
-                let value = if sender == 1 {
-                    cheater_values[rng.gen_range(0..cheater_values.len())].clone()
+                let value = if !is_cheater(sender) {
+                    input(sender)
+                } else if rng.gen_bool(0.5) {
+                    pool[rng.gen_range(0..2usize)].clone()
                 } else {
-                    b"h".to_vec()
+                    cheater_values[rng.gen_range(0..cheater_values.len())].clone()
                 };
                 sent[(sender - 1) as usize][(recv - 1) as usize] = value.clone();
                 instances[(recv - 1) as usize].on_accepted_value(sender, value);
@@ -178,9 +189,8 @@ proptest! {
         for inst in &mut instances {
             inst.fix_majority();
         }
-        // Honest relays.
         let mut evidence: Vec<(u32, Vec<u8>)> = Vec::new();
-        for recv in 2..=n as u32 {
+        for &recv in &honest {
             for sender in 1..=n as u32 {
                 evidence.push((sender, sent[(sender - 1) as usize][(recv - 1) as usize].clone()));
             }
@@ -190,14 +200,18 @@ proptest! {
                 inst.on_evidence(*s, v.clone());
             }
         }
-        let honest_outputs: BTreeSet<Vec<u8>> = (2..=n as u32)
-            .filter_map(|i| instances[(i - 1) as usize].decide())
+        let outputs: Vec<Option<Vec<u8>>> = honest
+            .iter()
+            .map(|&i| instances[(i - 1) as usize].decide())
             .collect();
-        prop_assert!(honest_outputs.len() <= 1, "split: {honest_outputs:?}");
-        // With n−1 ≥ ⌈(n+1)/2⌉ honest nodes, the honest value always wins.
-        if n > (n + 1).div_ceil(2) {
-            prop_assert!(honest_outputs.is_empty()
-                || honest_outputs.iter().any(|v| v == b"h"));
+        // Property 2: one value y with every honest output in {y, φ}.
+        let decided: BTreeSet<&Vec<u8>> = outputs.iter().flatten().collect();
+        prop_assert!(decided.len() <= 1, "split: {decided:?}");
+        // Property 1: honest nodes that share an input all output it. The
+        // cheaters cannot even force φ — the honest majority's value wins.
+        if honest.iter().all(|&i| input(i) == input(honest[0])) {
+            let v = input(honest[0]);
+            prop_assert!(outputs.iter().all(|o| o.as_ref() == Some(&v)), "{outputs:?}");
         }
     }
 

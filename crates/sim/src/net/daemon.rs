@@ -30,7 +30,7 @@ use crate::clock::{Schedule, TimeView};
 use crate::driver::NodeDriver;
 use crate::message::{Envelope, NodeId};
 use proauth_telemetry::{self as telemetry, MetricsSnapshot, Shard, Telemetry};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::io;
 use std::os::fd::RawFd;
 use std::path::PathBuf;
@@ -157,7 +157,7 @@ struct SeqTrack {
     /// Last seq observed, in arrival order.
     last: Option<u32>,
     /// Every seq observed so far.
-    seen: Vec<u32>,
+    seen: BTreeSet<u32>,
 }
 
 /// Protocol traffic buffered by the round it was sent in.
@@ -576,6 +576,13 @@ impl<'d> NodeLoop<'d> {
         let n = self.cfg.n;
         match msg {
             NetMsg::Hello { .. } => {} // mesh adoption handles these in limbo
+            // Setup frames and marks name a setup round; past the schedule's
+            // last one they can never be consumed.
+            NetMsg::Setup { setup_round, .. } | NetMsg::SetupMark { setup_round, .. }
+                if setup_round >= self.cfg.setup_rounds =>
+            {
+                self.tele.add("net/horizon_drops", 1);
+            }
             NetMsg::Setup {
                 setup_round,
                 seq,
@@ -597,35 +604,38 @@ impl<'d> NodeLoop<'d> {
                         .or_insert_with(|| vec![false; n])[from.idx()] = true;
                 }
             }
+            NetMsg::Round { from, to, .. } if to != self.cfg.me || from.idx() >= n => {}
+            // The marks' horizon bounds frames too: no majority has reached a
+            // later round, so no honest peer sent one. Earlier rounds stay — a
+            // frame delayed past its round is the UL adversary's prerogative
+            // and still delivers.
+            NetMsg::Round { round, .. } if round > self.live_round_hint().saturating_add(2) => {
+                self.tele.add("net/horizon_drops", 1);
+            }
             NetMsg::Round {
                 round,
                 seq,
                 from,
-                to,
                 payload,
+                ..
             } => {
-                if to == self.cfg.me && from.idx() < n {
-                    // Observation only: duplicates and reordering are the UL
-                    // adversary's prerogative, so both still deliver — but
-                    // they are counted, reported, and exposed as metrics.
-                    let track = self.seq_tracks.entry((round, from.0)).or_default();
-                    if track.seen.contains(&seq) {
-                        self.report.dup_frames += 1;
-                        self.tele.add("net/dup_frames", 1);
-                    } else {
-                        if track.last.is_some_and(|last| seq < last) {
-                            self.report.reorder_frames += 1;
-                            self.tele.add("net/reorder_frames", 1);
-                        }
-                        track.seen.push(seq);
-                    }
-                    track.last = Some(seq);
-                    self.buf
-                        .msgs
-                        .entry(round)
-                        .or_default()
-                        .push((from, seq, payload));
+                // Observation only: duplicates and reordering are the UL
+                // adversary's prerogative, so both still deliver — but they
+                // are counted, reported, and exposed as metrics.
+                let track = self.seq_tracks.entry((round, from.0)).or_default();
+                if !track.seen.insert(seq) {
+                    self.report.dup_frames += 1;
+                    self.tele.add("net/dup_frames", 1);
+                } else if track.last.is_some_and(|last| seq < last) {
+                    self.report.reorder_frames += 1;
+                    self.tele.add("net/reorder_frames", 1);
                 }
+                track.last = Some(seq);
+                self.buf
+                    .msgs
+                    .entry(round)
+                    .or_default()
+                    .push((from, seq, payload));
             }
             NetMsg::RoundMark { round, from } => {
                 if from.idx() < n {
@@ -1264,5 +1274,74 @@ mod tests {
         assert_eq!(quorum_round(&[u64::MAX, 5, 5, 5, 5], me), 5);
         // n = 4: three peers, two of which must agree.
         assert_eq!(quorum_round(&[9, 9, 0, u64::MAX], NodeId(3)), 9);
+    }
+
+    struct Idle;
+
+    impl crate::process::Process for Idle {
+        fn on_setup_round(&mut self, _ctx: &mut crate::process::SetupCtx<'_>) {}
+        fn on_round(&mut self, _ctx: &mut crate::process::RoundCtx<'_>) {}
+        fn state_mut(&mut self) -> &mut dyn std::any::Any {
+            self
+        }
+    }
+
+    #[test]
+    fn one_peer_cannot_grow_the_round_buffers() {
+        let dir = std::env::temp_dir().join(format!("proauth-horizon-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let plan = AddrPlan::Unix { dir: dir.clone() };
+        // A listener in the proxy's place is all `connect` needs.
+        let _proxy = NetListener::bind(&plan.proxy()).unwrap();
+        let n = 5;
+        let mut cfg = NodeNetConfig::new(NodeId(1), n, plan, Schedule::new(12, 1, 1));
+        cfg.via_proxy = true;
+        cfg.telemetry = true;
+        let mut driver = crate::driver::ProcessDriver::new(Idle, NodeId(1), n, 0);
+        let mut node = NodeLoop::connect(cfg, &mut driver).unwrap();
+        let liar = NodeId(2);
+
+        // Every future round the liar can name, and one frame per round
+        // that is in reach, many times over.
+        let flood = 10_000u64;
+        for i in 0..flood {
+            for round in [3 + i, u64::MAX - i, i % 3] {
+                node.dispatch(NetMsg::Round {
+                    round,
+                    seq: i as u32,
+                    from: liar,
+                    to: NodeId(1),
+                    payload: Vec::new(),
+                });
+            }
+            node.dispatch(NetMsg::Setup {
+                setup_round: 8 + i,
+                seq: 0,
+                from: liar,
+                to: NodeId(1),
+                payload: Vec::new(),
+            });
+            node.dispatch(NetMsg::SetupMark {
+                setup_round: u64::MAX - i,
+                from: liar,
+            });
+        }
+        // Rounds 0..=2 are within the horizon of a node at round 0: they
+        // are kept (and counted per seq); nothing past them is.
+        assert_eq!(node.buf.msgs.keys().copied().collect::<Vec<_>>(), [0, 1, 2]);
+        assert_eq!(node.buf.msgs.values().map(Vec::len).sum::<usize>(), flood as usize);
+        assert_eq!(node.seq_tracks.len(), 3);
+        assert!(node.setup_msgs.is_empty() && node.setup_marks.is_empty());
+        assert_eq!(node.tele.counter("net/horizon_drops"), 4 * flood);
+        // A replayed seq is a duplicate, found in the set.
+        node.dispatch(NetMsg::Round {
+            round: 1,
+            seq: 1,
+            from: liar,
+            to: NodeId(1),
+            payload: Vec::new(),
+        });
+        assert_eq!(node.report.dup_frames, 1);
+        let _ = std::fs::remove_dir_all(dir);
     }
 }

@@ -18,8 +18,9 @@
 //! a minority of nodes per unit; the parenthetical reading does not, because
 //! links to *broken* (hence non-operational) nodes stop counting. We
 //! implement both as [`OperationalRule`] and default to the parenthetical
-//! ([`OperationalRule::Parenthetical`]); experiment E1 quantifies the
-//! difference. The rejoin rule 3(b) uses `n−s` helper nodes (self-exclusive),
+//! ([`OperationalRule::Parenthetical`]); the integration test
+//! `composed::main_text_rule_ablation_reports_more_compromised_nodes` shows
+//! the difference end to end. The rejoin rule 3(b) uses `n−s` helper nodes (self-exclusive),
 //! matching the counts used in the proofs of Lemmas 15 and 20.
 
 use crate::message::{Envelope, NodeId};

@@ -1263,11 +1263,6 @@ fn print_observability_report(outcome: &proauth_sim::net::DaemonOutcome) {
             h.total, q[0], q[1], q[2]
         );
     }
-    if std::env::var_os("PROAUTH_DEBUG_COUNTERS").is_some() {
-        for (name, v) in &outcome.merged.counters {
-            println!("  counter {name} = {v}");
-        }
-    }
     if outcome.alarms.is_empty() {
         println!("alarms: none");
     } else {

@@ -16,11 +16,17 @@ use proauth_core::certify::{certify, LocalKeys};
 use proauth_core::uls::{uls_schedule, UlsConfig, UlsNode, SETUP_ROUNDS};
 use proauth_core::wire::{Blob, DisperseMsg, Inner, UlsWire};
 use proauth_crypto::group::{Group, GroupId};
+use proauth_crypto::schnorr::SigningKey;
+use proauth_crypto::shamir;
+use proauth_pds::als::AlsPds;
+use proauth_pds::msg::signing_payload;
+use proauth_primitives::bigint::BigUint;
 use proauth_primitives::wire::{Decode, Encode};
 use proauth_sim::adversary::{BreakPlan, NetView, UlAdversary};
 use proauth_sim::clock::TimeView;
 use proauth_sim::message::{Envelope, NodeId, OutputEvent};
 use proauth_sim::runner::{run_ul, SimConfig, SimResult};
+use rand::SeedableRng;
 
 const N: usize = 5;
 const T: usize = 2;
@@ -88,21 +94,24 @@ fn keythief_same_unit_forgery_accepted_but_victim_counted_compromised() {
         .any(|(_, e)| *e == OutputEvent::Compromised));
 }
 
-#[test]
-fn hijacker_certifies_fake_key_but_victim_alerts_same_unit() {
+/// Runs the certification hijack against `victim` in unit 1 and asserts
+/// Proposition 31's whole story for it.
+fn assert_hijack_is_alerted(victim: NodeId, seed: u64) {
     let group = Group::new(GroupId::Toy64);
-    let victim = NodeId(4);
     let inner = Hijacker::new(group, victim, 1, unit_rounds());
     let mut adv = LimitObserver::new(inner);
-    let result = run_ul(cfg(2, 3), make_node, &mut adv);
+    let result = run_ul(cfg(2, seed), make_node, &mut adv);
 
     // The attack succeeded mechanically: a certificate for the fake key was
     // harvested and forgeries were accepted by honest nodes.
-    assert!(adv.inner.harvested_cert.is_some(), "fake key got certified");
+    assert!(
+        adv.inner.harvested_cert.is_some(),
+        "{victim}: fake key got certified"
+    );
     assert!(adv.inner.forgeries_sent > 0);
     assert!(
         forged_accepts(&result, b"FORGED-BY-HIJACKER") > 0,
-        "honest nodes accept messages from the hijacked identity"
+        "{victim}: honest nodes accept messages from the hijacked identity"
     );
 
     // The victim was NEVER broken into...
@@ -117,14 +126,14 @@ fn hijacker_certifies_fake_key_but_victim_alerts_same_unit() {
     );
 
     // ...and Proposition 31 holds: the victim alerted in the attack unit.
+    let sched = uls_schedule(NORMAL);
     assert!(
-        result.alerted_in_unit(victim, 1, &uls_schedule(NORMAL)),
-        "victim must alert in the unit it is impersonated"
+        result.alerted_in_unit(victim, 1, &sched),
+        "{victim} must alert in the unit it is impersonated"
     );
 
     // Definition 10/11 accounting: every impersonation incident of a
     // non-broken victim is covered by a same-unit alert.
-    let sched = uls_schedule(NORMAL);
     let uncovered = awareness::unalerted_impersonations(
         &result.outputs,
         &sched,
@@ -132,6 +141,24 @@ fn hijacker_certifies_fake_key_but_victim_alerts_same_unit() {
         |node, unit| result.alerted_in_unit(node, unit, &sched),
     );
     assert!(uncovered.is_empty(), "{uncovered:?}");
+}
+
+#[test]
+fn hijacker_certifies_fake_key_but_victim_alerts_same_unit() {
+    for victim in NodeId::all(N) {
+        assert_hijack_is_alerted(victim, 3);
+    }
+}
+
+/// Every victim under five seeds each (25 attacks; release, `--ignored`).
+#[test]
+#[ignore]
+fn hijack_grid_every_victim_alerts_under_five_seeds() {
+    for victim in NodeId::all(N) {
+        for seed in 0..5 {
+            assert_hijack_is_alerted(victim, 40 + seed * 31 + victim.idx() as u64);
+        }
+    }
 }
 
 #[test]
@@ -180,7 +207,6 @@ impl PaEquivocator {
     const THIEVES: [NodeId; 2] = [NodeId(4), NodeId(5)];
 
     fn new(group: &Group, unit_rounds: u64) -> Self {
-        use rand::SeedableRng;
         let mut rng = rand::rngs::StdRng::seed_from_u64(0xE901);
         PaEquivocator {
             unit_rounds,
@@ -334,4 +360,71 @@ fn pa_equivocation_with_stolen_keys_is_exposed_by_relayed_evidence() {
         PaEquivocator::THIEVES.contains(&node)
     });
     assert!(imps.is_empty(), "{imps:?}");
+}
+
+/// Breaks into `targets` for two rounds of unit 0 and reads their PDS shares.
+struct ShareHarvester {
+    targets: Vec<NodeId>,
+    shares: Vec<(u32, BigUint)>,
+    public_key: Option<BigUint>,
+}
+
+impl UlAdversary for ShareHarvester {
+    fn plan(&mut self, view: &NetView<'_>) -> BreakPlan {
+        match view.time.round {
+            4 => BreakPlan::break_into(self.targets.clone()),
+            6 => BreakPlan::leave(self.targets.clone()),
+            _ => BreakPlan::none(),
+        }
+    }
+
+    fn corrupt(&mut self, id: NodeId, state: &mut dyn std::any::Any, _time: &TimeView) {
+        if self.shares.iter().any(|(i, _)| *i == id.0) {
+            return;
+        }
+        let node = state
+            .downcast_mut::<UlsNode<HeartbeatApp>>()
+            .expect("ULS node");
+        let key = node.pds.key_share().expect("unit-0 share");
+        self.shares.push((id.0, key.share.clone()));
+        self.public_key = Some(key.public_key.clone());
+    }
+
+    fn deliver(&mut self, sent: &[Envelope], _view: &NetView<'_>) -> Vec<Envelope> {
+        sent.to_vec()
+    }
+}
+
+/// Theorem 14's threshold is tight: `t + 1` break-ins in one unit hand the
+/// adversary the signing key itself — signatures under it verify against
+/// the ROM public key — while the shares of `t` nodes interpolate to a
+/// different key.
+#[test]
+fn t_plus_one_breakins_in_one_unit_reconstruct_the_signing_key() {
+    let group = Group::new(GroupId::Toy64);
+    let mut adv = ShareHarvester {
+        targets: (1..=(T + 1) as u32).map(NodeId).collect(),
+        shares: Vec::new(),
+        public_key: None,
+    };
+    let result = run_ul(cfg(1, 35), make_node, &mut adv);
+    assert_eq!(adv.shares.len(), T + 1);
+    let pk = adv.public_key.clone().expect("a share was read");
+    // The key the adversary reconstructs is the network's: the one burned
+    // into every node's ROM at setup.
+    for rom in &result.roms {
+        let v_cert = rom.read("v_cert").expect("v_cert burned at setup");
+        assert_eq!(BigUint::from_bytes_be(v_cert), pk);
+    }
+
+    let key_from = |shares: &[(u32, BigUint)]| {
+        SigningKey::from_scalar(&group, shamir::interpolate_at_zero(&group, shares))
+    };
+    let sk = key_from(&adv.shares);
+    assert_eq!(sk.verify_key().element(), &pk);
+    let mut rng = rand::rngs::StdRng::seed_from_u64(1);
+    let sig = sk.sign(&signing_payload(b"total forgery", 0), &mut rng);
+    assert!(AlsPds::verify(&group, &pk, b"total forgery", 0, &sig));
+
+    assert_ne!(key_from(&adv.shares[..T]).verify_key().element(), &pk);
 }

@@ -3,13 +3,13 @@
 //! under sustained attack — the "repeated and transient" break-in story of
 //! the paper's title.
 
-use proauth_adversary::{Composed, CorruptMode, LimitObserver, LinkCutter, MobileBreakins};
+use proauth_adversary::{Composed, CorruptMode, LimitObserver, LinkCutter, MobileBreakins, Visit};
 use proauth_core::authenticator::HeartbeatApp;
 use proauth_core::uls::{uls_schedule, UlsConfig, UlsNode, SETUP_ROUNDS};
 use proauth_crypto::group::{Group, GroupId};
 use proauth_pds::ideal::IdealChecker;
 use proauth_sim::message::{NodeId, OutputEvent};
-use proauth_sim::runner::{run_ul, SimConfig};
+use proauth_sim::runner::{run_ul, SimConfig, SimResult};
 
 const N: usize = 5;
 const T: usize = 2;
@@ -72,6 +72,69 @@ fn every_node_gets_broken_eventually_and_the_network_survives() {
         })
         .count();
     assert!(accepted_late > 0);
+    assert_eq!(
+        assert_recovered_within_one_refresh(&adv.inner.visits, &result),
+        vec![sched.unit_rounds; 5]
+    );
+}
+
+/// §4.2 recovery: every wiped victim is heard from again (a message of its
+/// accepted by another node) within `unit_rounds + refresh_rounds + 2`
+/// rounds of the break-in — the wait for the next refresh, the refresh, and
+/// one logical round — and nobody ever alerts. Returns the latencies.
+fn assert_recovered_within_one_refresh(visits: &[Visit], result: &SimResult) -> Vec<u64> {
+    let sched = uls_schedule(NORMAL);
+    let bound = sched.unit_rounds + sched.refresh_rounds() + 2;
+    let mut latencies = Vec::new();
+    for v in visits {
+        let first_heard = result
+            .outputs
+            .iter()
+            .enumerate()
+            .filter(|(idx, _)| *idx != v.node.idx())
+            .flat_map(|(_, log)| log.iter())
+            .filter_map(|(round, ev)| match ev {
+                OutputEvent::Accepted { from, .. } if *from == v.node && *round > v.leave_at => {
+                    Some(*round)
+                }
+                _ => None,
+            })
+            .min();
+        let latency = first_heard.map(|r| r - v.break_at);
+        assert!(
+            latency.is_some_and(|l| l <= bound),
+            "{v:?}: re-accepted after {latency:?} rounds, bound {bound}"
+        );
+        latencies.extend(latency);
+    }
+    assert_eq!(result.stats.alerts.iter().sum::<u64>(), 0);
+    latencies
+}
+
+#[test]
+fn two_wipes_per_unit_recover_within_one_refresh() {
+    // E5's k = 2: two full-state wipes per unit, rotating, the last unit
+    // quiet so the last victims recover. A wiped node stays impaired
+    // through the next unit's refresh, so this adversary impairs up to 2k =
+    // 4 nodes per unit — past the (t,t) budget, and recovery holds anyway.
+    let sched = uls_schedule(NORMAL);
+    let units = 4u64;
+    let mut adv = MobileBreakins::<HeartbeatApp>::rotating(
+        N,
+        2,
+        units - 1,
+        sched.unit_rounds,
+        sched.refresh_rounds() + 2,
+        4,
+        CorruptMode::Wipe,
+    );
+    let result = run_ul(cfg(units, 52), make_node, &mut adv);
+    // Each victim is heard from at the first normal round after the next
+    // refresh: exactly one unit after its break-in.
+    assert_eq!(
+        assert_recovered_within_one_refresh(&adv.visits, &result),
+        vec![sched.unit_rounds; 6]
+    );
 }
 
 #[test]
@@ -126,7 +189,7 @@ fn recovery_denied_by_isolation_then_granted_when_attack_stops() {
     let unit1 = sched.unit_rounds;
     let unit2 = 2 * sched.unit_rounds;
     let breakin = MobileBreakins::<HeartbeatApp>::new(
-        vec![proauth_adversary::Visit {
+        vec![Visit {
             node: NodeId(2),
             break_at: 4,
             leave_at: 8,

@@ -297,6 +297,14 @@ fn hier_beats_flat_by_3x_on_envelopes_at_n64() {
     let units = 2; // unit 1 carries a full refresh
     let (hcfg, cfg) = hier_cfg(N, units, 55);
     let hier = run_ul(cfg, make_node(&hcfg), &mut FaithfulUl);
+    // Eight clusters of eight, every representative co-signing both units'
+    // heartbeats, over a fixed number of envelopes.
+    assert_eq!(hcfg.partition.cluster_count(), 8);
+    for c in 0..8 {
+        let rep = NodeId(hcfg.partition.representative(c, 0));
+        assert_eq!(signed_heartbeats(&hier, rep), [0, 1], "cluster {c}");
+    }
+    assert_eq!(hier.stats.messages_sent, 277_312);
 
     let mut flat_cfg = SimConfig::new(N, 1, uls_schedule(NORMAL));
     flat_cfg.setup_rounds = SETUP_ROUNDS;
