@@ -16,6 +16,12 @@ cargo test -q
 
 cargo clippy --workspace --all-targets -- -D warnings
 
+# Rustdoc links cannot rot: a link to a renamed, deleted or private item
+# fails here.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps \
+    -p proauth-primitives -p proauth-telemetry -p proauth-crypto -p proauth-sim \
+    -p proauth-pds -p proauth-core -p proauth-adversary
+
 # The benchmark is a crate of its own (the workspace build never sees it)
 # that drives the stack through public APIs and checks what it measured:
 # a short run of all four workloads must come back `correct: true` with

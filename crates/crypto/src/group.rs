@@ -218,7 +218,7 @@ impl Group {
     /// `base^s mod p`.
     ///
     /// Fast paths, in order: the generator's comb table; a promoted table
-    /// for a hot base (see [`TableCache`]); windowed Montgomery modpow.
+    /// for a hot base (see `TableCache`); windowed Montgomery modpow.
     pub fn exp(&self, base: &BigUint, s: &BigUint) -> BigUint {
         let Some(ctx) = &self.inner.mont_p else {
             return base.modpow(s, &self.inner.p);

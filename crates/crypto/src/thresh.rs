@@ -49,24 +49,20 @@ pub fn generate_nonce<R: rand::RngCore>(group: &Group, rng: &mut R) -> Nonce {
     Nonce { k, commitment }
 }
 
-/// FROST-style nonce preprocessing pool: a node batch-generates nonces ahead
-/// of time (during setup and under the refresh schedule, both adversary-quiet
-/// windows) so the online phase of a signing session spends no time on
-/// `g^{k}` — taking a nonce is a queue pop.
+/// A batch of pre-generated nonces: the micro-benchmark's unit of nonce
+/// generation (`crypto.thresh.nonce_refill_us`). No protocol path uses it.
 ///
-/// Simplification vs. full FROST: we pool single nonces, not (hiding,
-/// binding) pairs. FROST needs the pair + binding factor because commitments
-/// are published *before* the message is known; here `SignInit` announces the
-/// commitment in-session together with the message, so the standard Schnorr
-/// challenge already binds `(R, y, m)` and a single pooled nonce is safe.
+/// The PDS draws each nonce when its sign session starts or retries
+/// ([`generate_nonce`]). A pool that outlives a proactive refresh hands
+/// nonces drawn under one share to sessions signing with the next, and a
+/// `k` read by a break-in then solves `z = k + e·λ·x` for a share the
+/// refresh was meant to protect. Pooling also only moves `g^{k}` out of the
+/// signing round; it saves no total work.
 ///
-/// No-reuse accounting is strict and survives refills: the commitment of
-/// every nonce ever handed out is remembered in `spent`, and `refill`
-/// discards any freshly sampled nonce whose commitment collides with a spent
-/// one (relevant for toy groups whose element space is small). Pools hold
-/// *volatile secret state* — a pooled `k` plus a later partial would leak the
-/// share exactly like any nonce reuse — so drivers must wipe the pool on
-/// break-in ([`NoncePool::wipe`]).
+/// `take` pops the oldest nonce and records its commitment as spent, and
+/// `refill` re-draws any sample colliding with a spent or pooled
+/// commitment (relevant for toy groups). `spent` grows by one entry per
+/// nonce taken, for the life of the pool.
 #[derive(Debug, Clone, Default)]
 pub struct NoncePool {
     avail: VecDeque<Nonce>,

@@ -22,7 +22,7 @@ use proauth_telemetry as telemetry;
 use proauth_crypto::dkg::{self, KeyShare, ReceivedDealing};
 use proauth_crypto::group::Group;
 use proauth_crypto::schnorr::{Signature, VerifyKey};
-use proauth_crypto::thresh::{NoncePool, SignerPrecomp};
+use proauth_crypto::thresh::{Nonce, SignerPrecomp};
 use proauth_primitives::bigint::BigUint;
 use proauth_primitives::wire::{Decode, Encode, InternedBlob};
 use proauth_sim::message::NodeId;
@@ -45,9 +45,6 @@ pub struct AlsConfig {
     /// Sessions older than this many ticks are garbage-collected as failed
     /// (a session normally completes in ≤ 5 ticks).
     pub session_max_age: u32,
-    /// Capacity of the preprocessed [`NoncePool`]; `0` disables
-    /// preprocessing (every nonce is generated online).
-    pub nonce_pool: usize,
     /// Responder-side batch-verification window: completed signatures are
     /// verified in amortized flushes of up to this many items. `≤ 1` turns
     /// amortization off (per-item verification). Also gates the in-session
@@ -61,8 +58,7 @@ pub struct AlsConfig {
 
 impl AlsConfig {
     /// Validates and builds a config with the default service knobs
-    /// (64 concurrent sessions, age-16 GC, a 32-nonce preprocessing pool,
-    /// and an 8-item verify window).
+    /// (64 concurrent sessions, age-16 GC and an 8-item verify window).
     ///
     /// # Panics
     ///
@@ -75,7 +71,6 @@ impl AlsConfig {
             t,
             max_sessions: 64,
             session_max_age: 16,
-            nonce_pool: 32,
             verify_window: 8,
             sid_scope: Vec::new(),
         }
@@ -114,21 +109,14 @@ pub struct AlsPds {
     refresh_failed: bool,
     /// Dealings received during setup.
     setup_inbox: Vec<ReceivedDealing>,
-    /// Preprocessed signing nonces (`None` when `cfg.nonce_pool == 0`).
-    /// Volatile secret state: wiped on break-in, refilled under the refresh
-    /// schedule.
-    nonce_pool: Option<NoncePool>,
-    /// Preprocessed Lagrange coefficients per signer set (`None` when
-    /// preprocessing is disabled). Public data — survives break-ins, warmed
-    /// during the same offline windows as the nonce pool.
-    lagrange: Option<SignerPrecomp>,
+    /// Lagrange coefficients per signer set. Public data: survives
+    /// break-ins, warmed at the end of setup and of every refresh.
+    lagrange: SignerPrecomp,
 }
 
 impl AlsPds {
     /// Creates the state machine for node `me`.
     pub fn new(cfg: AlsConfig, me: NodeId) -> Self {
-        let nonce_pool = (cfg.nonce_pool > 0).then(|| NoncePool::new(cfg.nonce_pool));
-        let lagrange = (cfg.nonce_pool > 0).then(SignerPrecomp::new);
         AlsPds {
             cfg,
             me: me.0,
@@ -141,8 +129,7 @@ impl AlsPds {
             refresh: None,
             refresh_failed: false,
             setup_inbox: Vec::new(),
-            nonce_pool,
-            lagrange,
+            lagrange: SignerPrecomp::new(),
         }
     }
 
@@ -159,43 +146,25 @@ impl AlsPds {
         pds
     }
 
-    /// Client-triggered preprocessing refresh: tops the nonce pool back up
-    /// and re-warms the public precomputation *outside* the scheduled
-    /// offline window. Deliberately does not touch key shares — proactive
-    /// share refresh stays under the schedule's control.
-    pub fn preprocess(&mut self, rng: &mut StdRng) {
-        if let Some(pool) = &mut self.nonce_pool {
-            let added = pool.refill(&self.cfg.group, rng) as u64;
-            if added > 0 {
-                telemetry::count("pds/nonce_refilled", added);
-            }
-        }
-        self.warm_offline();
-    }
-
-    /// Offline-window preprocessing beyond the nonce pool, all public data:
-    /// memoizes the Lagrange coefficients for the signer set the next
-    /// normal phase will fix absent faults (the lowest `t+1` indices), and
-    /// promotes the share keys and joint public key into the group's
-    /// fixed-base table cache so the online verification multi-exps run
-    /// squaring-free from the first session. Retries against other signer
-    /// sets memoize on first use instead. No-op when preprocessing is off,
-    /// which keeps the off setting an honest reference
-    /// (`tests/concurrent_sessions.rs`).
+    /// Warms the public precomputation once a share is adopted (end of
+    /// setup and of every refresh): memoizes the Lagrange coefficients for
+    /// the signer set the next normal phase will fix absent faults (the
+    /// lowest `t+1` indices), and promotes the share keys and joint public
+    /// key into the group's fixed-base table cache so the online
+    /// verification multi-exps run squaring-free from the first session.
+    /// Retries against other signer sets memoize on first use instead.
     fn warm_offline(&mut self) {
         let expected: Vec<u32> = (1..=self.cfg.t as u32 + 1).collect();
-        if let Some(pre) = &mut self.lagrange {
-            if pre.warm(&self.cfg.group, &expected) {
-                telemetry::count("pds/lagrange_warmed", 1);
+        if self.lagrange.warm(&self.cfg.group, &expected) {
+            telemetry::count("pds/lagrange_warmed", 1);
+        }
+        if let Some(key) = &self.key {
+            for x in &key.share_keys {
+                self.cfg.group.promote(x);
             }
-            if let Some(key) = &self.key {
-                for x in &key.share_keys {
-                    self.cfg.group.promote(x);
-                }
-            }
-            if let Some(pk) = &self.public_key {
-                self.cfg.group.promote(pk);
-            }
+        }
+        if let Some(pk) = &self.public_key {
+            self.cfg.group.promote(pk);
         }
     }
 
@@ -216,26 +185,25 @@ impl AlsPds {
             .unwrap_or(false)
     }
 
-    /// Break-in corruption: erase all volatile key material — including the
-    /// preprocessed nonce pool, whose secret scalars would otherwise let the
-    /// adversary solve later partials for the share.
+    /// Break-in corruption: erase all volatile key material, the live sign
+    /// sessions' secret nonces included.
     pub fn corrupt_wipe(&mut self) {
         self.key = None;
         self.public_key = None;
         self.sessions.clear();
         self.pending_requests.clear();
         self.refresh = None;
-        if let Some(pool) = &mut self.nonce_pool {
-            pool.wipe();
-        }
         // `self.lagrange` is deliberately NOT cleared: Lagrange coefficients
         // are public functions of the signer indices, so a break-in learns
         // nothing from them and recovery keeps the warm cache.
     }
 
-    /// The preprocessed nonce pool, if preprocessing is enabled (tests).
-    pub fn nonce_pool(&self) -> Option<&NoncePool> {
-        self.nonce_pool.as_ref()
+    /// This node's secret nonces in its live sign sessions: everything a
+    /// break-in reads besides the share (tests). Each is drawn when its
+    /// session starts or retries, and sessions never outlive a refresh, so
+    /// none is ever combined with a later share.
+    pub fn session_nonces(&self) -> impl Iterator<Item = &Nonce> {
+        self.sessions.values().filter_map(|s| s.my_nonce.as_ref())
     }
 
     /// The joint public key as a group element, once known.
@@ -391,12 +359,6 @@ impl AlPds for AlsPds {
                 self.public_key = Some(key.public_key.clone());
                 self.key = Some(key);
                 self.setup_inbox.clear();
-                // Preprocess the first pool of signing nonces and the
-                // expected signer set's Lagrange coefficients while the
-                // adversary is still offline (setup is adversary-free).
-                if let Some(pool) = &mut self.nonce_pool {
-                    pool.refill(&self.cfg.group, rng);
-                }
                 self.warm_offline();
                 Vec::new()
             }
@@ -426,9 +388,13 @@ impl AlPds for AlsPds {
         let mut out: Vec<PdsEnvelope> = Vec::new();
         match time.phase {
             PdsPhase::Refresh { step } => {
-                // Abort in-flight signing sessions: shares are about to change.
+                // Abort in-flight signing sessions: shares are about to
+                // change, and each session's nonce dies with it.
                 if step == 0 {
                     telemetry::count("pds/refresh_started", 1);
+                    if !self.sessions.is_empty() {
+                        telemetry::count("pds/sign_aborted", self.sessions.len() as u64);
+                    }
                     self.sessions.clear();
                     self.refresh_failed = false;
                     let old_key = if self.key_usable() {
@@ -479,16 +445,6 @@ impl AlPds for AlsPds {
                                 }
                             }
                         }
-                        // Refresh is the scheduled offline window: top the
-                        // preprocessed nonce pool back up for the coming
-                        // normal phase (strict no-reuse accounting is inside
-                        // the pool).
-                        if let Some(pool) = &mut self.nonce_pool {
-                            let added = pool.refill(&self.cfg.group, rng) as u64;
-                            if added > 0 {
-                                telemetry::count("pds/nonce_refilled", added);
-                            }
-                        }
                         self.warm_offline();
                     }
                 }
@@ -509,26 +465,16 @@ impl AlPds for AlsPds {
                         continue;
                     }
                     telemetry::count("pds/sign_started", 1);
-                    // Online fast path: the attempt-0 nonce comes from the
-                    // preprocessed pool when one is available.
-                    let nonce = if usable {
-                        let pooled = self.nonce_pool.as_mut().and_then(NoncePool::take);
-                        telemetry::count(
-                            if pooled.is_some() {
-                                "pds/nonce_pool_hit"
-                            } else {
-                                "pds/nonce_pool_miss"
-                            },
-                            1,
-                        );
-                        Some(pooled.unwrap_or_else(|| {
-                            proauth_crypto::thresh::generate_nonce(&self.cfg.group, rng)
-                        }))
-                    } else {
-                        None
-                    };
-                    let (mut session, init) =
-                        SignSession::start_with_nonce(self.me, self.cfg.t, sid, msg, unit, nonce);
+                    let (mut session, init) = SignSession::start(
+                        &self.cfg.group,
+                        self.me,
+                        self.cfg.t,
+                        sid,
+                        msg,
+                        unit,
+                        usable,
+                        rng,
+                    );
                     session.set_batch_partials(batch_partials);
                     self.sessions.insert(sid, session);
                     if let Some(init) = init {
@@ -541,11 +487,10 @@ impl AlPds for AlsPds {
                     let key = if self.key_usable() { self.key.clone() } else { None };
                     let sids: Vec<Sid> = self.sessions.keys().copied().collect();
                     let mut broadcasts: Vec<AlsMsg> = Vec::new();
-                    // The pool and coefficient cache move out of `self` for
-                    // the loop so each session tick can borrow them mutably
-                    // alongside the table.
-                    let mut pool = self.nonce_pool.take();
-                    let mut lagrange = self.lagrange.take();
+                    // The coefficient cache moves out of `self` for the loop
+                    // so each session tick can borrow it mutably alongside
+                    // the table.
+                    let mut lagrange = std::mem::take(&mut self.lagrange);
                     for sid in sids {
                         // Sessions created this very round should not tick yet
                         // (their inits have not even been sent).
@@ -563,14 +508,12 @@ impl AlPds for AlsPds {
                                 &self.cfg.group,
                                 key.as_ref(),
                                 &pk,
-                                pool.as_mut(),
-                                lagrange.as_mut(),
+                                Some(&mut lagrange),
                                 rng,
                             ));
                             session.bump_age();
                         }
                     }
-                    self.nonce_pool = pool;
                     self.lagrange = lagrange;
                     for msg in broadcasts {
                         out.extend(self.expand(Dest::All, msg));

@@ -153,10 +153,6 @@ impl AlsProcess {
                     self.flush_window(ctx);
                 }
             }
-            ClientOp::Refresh => {
-                telemetry::count("pds/client_refresh", 1);
-                self.pds.preprocess(ctx.rng);
-            }
         }
     }
 

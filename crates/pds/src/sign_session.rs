@@ -25,7 +25,7 @@ use crate::msg::{signing_payload, AlsMsg, Sid};
 use proauth_crypto::dkg::KeyShare;
 use proauth_crypto::group::Group;
 use proauth_crypto::schnorr::{Signature, VerifyKey};
-use proauth_crypto::thresh::{self, Nonce, NoncePool, SignerPrecomp};
+use proauth_crypto::thresh::{self, Nonce, SignerPrecomp};
 use proauth_primitives::bigint::BigUint;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -78,8 +78,10 @@ pub struct SignSession {
     seen_commitments: BTreeMap<u32, BTreeSet<Vec<u8>>>,
     /// Whether partial verification runs batch-first (RLC) or per-signer.
     batch_partials: bool,
-    /// My nonce for the current attempt.
-    my_nonce: Option<Nonce>,
+    /// My nonce for the current attempt, drawn when the session starts or
+    /// retries — never earlier, so it cannot outlive the share it signs
+    /// with (sessions are dropped at refresh).
+    pub(crate) my_nonce: Option<Nonce>,
     /// The completed signature, if any.
     result: Option<Signature>,
     /// Logical ticks since creation (maintained by the driver via
@@ -102,22 +104,6 @@ impl SignSession {
         has_share: bool,
         rng: &mut R,
     ) -> (Self, Option<AlsMsg>) {
-        let nonce = has_share.then(|| thresh::generate_nonce(group, rng));
-        Self::start_with_nonce(me, t, sid, msg, unit, nonce)
-    }
-
-    /// Like [`SignSession::start`], but with the attempt-0 nonce supplied by
-    /// the caller — typically popped from a preprocessed
-    /// [`NoncePool`] so session start does no exponentiation.
-    /// `None` means the node holds no share and only listens.
-    pub fn start_with_nonce(
-        me: u32,
-        t: usize,
-        sid: Sid,
-        msg: Vec<u8>,
-        unit: u64,
-        nonce: Option<Nonce>,
-    ) -> (Self, Option<AlsMsg>) {
         let mut session = SignSession {
             sid,
             msg,
@@ -135,9 +121,10 @@ impl SignSession {
             result: None,
             age: 0,
         };
-        let Some(nonce) = nonce else {
+        if !has_share {
             return (session, None);
-        };
+        }
+        let nonce = thresh::generate_nonce(group, rng);
         session.inits.insert(me, nonce.commitment.clone());
         session.note_commitment(me, &nonce.commitment);
         let init = AlsMsg::SignInit {
@@ -285,21 +272,18 @@ impl SignSession {
         public_key: &BigUint,
         rng: &mut R,
     ) -> Vec<AlsMsg> {
-        self.tick_with(group, key, public_key, None, None, rng)
+        self.tick_with(group, key, public_key, None, rng)
     }
 
-    /// Like [`SignSession::tick`], but draws any retry nonce from `pool`
-    /// first (falling back to fresh generation when the pool is `None` or
-    /// empty) and reads Lagrange coefficients from `lagrange` (falling back
-    /// to inline computation). Both are the preprocessing levers: with them
-    /// warmed during the refresh window, the online tick is mostly
+    /// Like [`SignSession::tick`], but reads Lagrange coefficients from
+    /// `lagrange` (falling back to inline computation): with the cache
+    /// warmed at the end of the refresh, the online tick is mostly
     /// multi-exponentiation.
     pub fn tick_with<R: rand::RngCore>(
         &mut self,
         group: &Group,
         key: Option<&KeyShare>,
         public_key: &BigUint,
-        pool: Option<&mut NoncePool>,
         lagrange: Option<&mut SignerPrecomp>,
         rng: &mut R,
     ) -> Vec<AlsMsg> {
@@ -310,7 +294,7 @@ impl SignSession {
                 active,
                 nonces,
             } => self.evaluate_partials(
-                group, key, public_key, attempt, active, nonces, pool, lagrange, rng,
+                group, key, public_key, attempt, active, nonces, lagrange, rng,
             ),
             State::AwaitRetryNonces { attempt, active } => {
                 self.emit_retry_partials(group, key, public_key, attempt, active, lagrange)
@@ -397,7 +381,6 @@ impl SignSession {
         attempt: u32,
         active: Vec<u32>,
         nonces: BTreeMap<u32, BigUint>,
-        pool: Option<&mut NoncePool>,
         mut lagrange: Option<&mut SignerPrecomp>,
         rng: &mut R,
     ) -> Vec<AlsMsg> {
@@ -551,9 +534,7 @@ impl SignSession {
         self.partials.clear();
         let mut out = Vec::new();
         if active.contains(&self.me) && key.is_some() {
-            let nonce = pool
-                .and_then(NoncePool::take)
-                .unwrap_or_else(|| thresh::generate_nonce(group, rng));
+            let nonce = thresh::generate_nonce(group, rng);
             self.retry_nonces.insert(self.me, nonce.commitment.clone());
             self.note_commitment(self.me, &nonce.commitment);
             out.push(AlsMsg::SignRetryNonce {
@@ -988,73 +969,6 @@ mod tests {
             assert!(s.is_done(), "node {} done after honest retry", s.me);
             assert!(vk.verify(&signing_payload(b"reuse", 1), s.result().unwrap()));
             assert_eq!(s.excluded(), &BTreeSet::from([2]));
-        }
-    }
-
-    #[test]
-    fn pooled_nonces_drive_session_start_and_retry() {
-        // Sessions started from a preprocessed pool, with the retry nonce
-        // also pool-drawn, behave exactly like rng-backed sessions.
-        let (group, keys) = dkg_keys(5, 2, 110);
-        let mut rng = StdRng::seed_from_u64(6000);
-        let sid = sid_for(b"pooled", 1);
-        let pk = keys[0].public_key.clone();
-        let mut pools: BTreeMap<u32, NoncePool> = (1..=4u32)
-            .map(|p| {
-                let mut pool = NoncePool::new(4);
-                pool.refill(&group, &mut rng);
-                (p, pool)
-            })
-            .collect();
-        let mut sessions: BTreeMap<u32, SignSession> = BTreeMap::new();
-        let mut in_flight: Vec<(u32, AlsMsg)> = Vec::new();
-        for p in 1..=4u32 {
-            let nonce = pools.get_mut(&p).unwrap().take();
-            let (s, init) =
-                SignSession::start_with_nonce(p, 2, sid, b"pooled".to_vec(), 1, nonce);
-            sessions.insert(p, s);
-            in_flight.push((p, init.unwrap()));
-        }
-        for _ in 0..6 {
-            let batch: Vec<(u32, AlsMsg)> = std::mem::take(&mut in_flight)
-                .into_iter()
-                .map(|(from, msg)| match (from, msg) {
-                    // Node 1 garbles attempt 0: forces a pool-drawn retry.
-                    (1, AlsMsg::SignPartial { sid, attempt: 0, .. }) => (
-                        1,
-                        AlsMsg::SignPartial {
-                            sid,
-                            attempt: 0,
-                            z: BigUint::from_u64(0xBAD),
-                        },
-                    ),
-                    other => other,
-                })
-                .collect();
-            for (from, msg) in &batch {
-                for (&p, s) in sessions.iter_mut() {
-                    if p != *from {
-                        s.handle(&group, &pk, *from, msg);
-                    }
-                }
-            }
-            for (&p, s) in sessions.iter_mut() {
-                let pool = pools.get_mut(&p);
-                for m in
-                    s.tick_with(&group, Some(&keys[(p - 1) as usize]), &pk, pool, None, &mut rng)
-                {
-                    in_flight.push((p, m));
-                }
-            }
-        }
-        let vk = VerifyKey::from_element(&group, pk).unwrap();
-        for s in sessions.values().filter(|s| s.me != 1) {
-            assert!(s.is_done(), "pooled session at {} done", s.me);
-            assert!(vk.verify(&signing_payload(b"pooled", 1), s.result().unwrap()));
-        }
-        // Retry signers drew their fresh nonce from the pool: 2 spent each.
-        for p in [2u32, 3, 4] {
-            assert_eq!(pools[&p].spent_count(), 2, "node {p} pool accounting");
         }
     }
 

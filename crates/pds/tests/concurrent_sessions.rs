@@ -179,39 +179,44 @@ fn age_gc_expires_stalled_sessions() {
 }
 
 #[test]
-fn preprocessing_pool_feeds_sessions_and_off_mode_still_signs() {
-    let requests = msgs("pooled", 6);
-    let batch = sign_batch(&requests);
-    let want: BTreeSet<(Vec<u8>, u64)> =
-        requests.iter().map(|m| (m.clone(), 0u64)).collect();
-
-    let tele_on = Telemetry::enabled();
-    let mut c = cfg(1);
-    c.telemetry = tele_on.clone();
-    let on = run_al_with_inputs(c, make_node, &mut PassiveAl, |_, round| {
-        (round == 2).then(|| batch.clone())
+fn sessions_straddling_a_refresh_are_aborted_and_counted() {
+    // Three requests early in unit 0 complete; four arrive in its last
+    // round, send their partials in unit 1's Part I (a normal PDS round)
+    // and would combine in the next round — refresh step 0, which drops
+    // every live session because the shares, and with them the sessions'
+    // nonces, are about to change.
+    let early = msgs("early", 3);
+    let late = msgs("late", 4);
+    let (early_batch, late_batch) = (sign_batch(&early), sign_batch(&late));
+    let last_unit0_round = schedule().unit_rounds - 1;
+    let tele = Telemetry::enabled();
+    let mut c = cfg(2);
+    c.telemetry = tele.clone();
+    let result = run_al_with_inputs(c, make_node, &mut PassiveAl, |_, round| {
+        if round == 2 {
+            Some(early_batch.clone())
+        } else if round == last_unit0_round {
+            Some(late_batch.clone())
+        } else {
+            None
+        }
     });
-
-    let tele_off = Telemetry::enabled();
-    let mut c = cfg(1);
-    c.telemetry = tele_off.clone();
-    let off = run_al_with_inputs(
-        c,
-        make_node_with(|cfg| cfg.nonce_pool = 0),
-        &mut PassiveAl,
-        |_, round| (round == 2).then(|| batch.clone()),
-    );
-
+    let want: BTreeSet<(Vec<u8>, u64)> = early.iter().map(|m| (m.clone(), 0u64)).collect();
     for node in 1..=N as u32 {
-        assert_eq!(signed_at(&on, NodeId(node)), want, "pool on, node {node}");
-        assert_eq!(signed_at(&off, NodeId(node)), want, "pool off, node {node}");
+        assert_eq!(signed_at(&result, NodeId(node)), want, "node {node}");
     }
-    // Preprocessing accounting: with the pool on, every attempt-0 nonce was
-    // a pool hit; with it off, every start was a (counted) miss.
-    assert_eq!(tele_on.counter("pds/nonce_pool_hit"), 6 * N as u64);
-    assert_eq!(tele_on.counter("pds/nonce_pool_miss"), 0);
-    assert_eq!(tele_off.counter("pds/nonce_pool_hit"), 0);
-    assert_eq!(tele_off.counter("pds/nonce_pool_miss"), 6 * N as u64);
+    let n = N as u64;
+    assert_eq!(tele.counter("pds/sign_aborted"), late.len() as u64 * n);
+    // Every started session ends in exactly one counter by the unit
+    // boundary: none vanishes uncounted.
+    assert_eq!(tele.counter("pds/sign_started"), (early.len() + late.len()) as u64 * n);
+    assert_eq!(
+        tele.counter("pds/sign_started"),
+        tele.counter("pds/sign_completed")
+            + tele.counter("pds/sign_failed")
+            + tele.counter("pds/sign_expired")
+            + tele.counter("pds/sign_aborted")
+    );
 }
 
 #[test]

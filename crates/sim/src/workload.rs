@@ -15,16 +15,12 @@
 //!   within one time unit, and the session layer drops messages for unknown
 //!   session ids;
 //! * **verify** operations land on one node each (any single responder can
-//!   check a signature against the ROM public key);
-//! * **refresh** operations are *preprocessing* refreshes, broadcast like
-//!   sign ops: every signer tops its nonce pool back up and re-warms its
-//!   precomputation outside the scheduled offline window. Proactive *share*
-//!   refresh stays time-triggered by the schedule (Fig. 1) — a client
-//!   cannot move the Herzberg refresh, only the service-layer
-//!   preprocessing; refresh exposure of the share protocol is controlled
-//!   by running the workload across unit boundaries. Refresh arrivals are
-//!   rare in realistic mixes, hence the fractional weight syntax
-//!   (`refresh=0.01`).
+//!   check a signature against the ROM public key).
+//!
+//! There is no client refresh operation: proactive refresh is
+//! time-triggered by the schedule (Fig. 1), so a client cannot move it, and
+//! a workload meets refresh by running across unit boundaries. Weights are
+//! decimals, so a rare op can be mixed in (`verify=0.01`).
 //!
 //! Arrivals are open-loop Poisson: the client does not wait for
 //! completions, so overload shows up as queueing (and, past the session
@@ -52,9 +48,6 @@ pub enum ClientOp {
     },
     /// Ask the responder to verify a recently produced signature.
     Verify,
-    /// Ask every signer to run a preprocessing refresh (nonce-pool refill +
-    /// precompute warm-up) outside the scheduled offline window.
-    Refresh,
 }
 
 /// A round's worth of client operations for one node, as delivered on the
@@ -79,7 +72,6 @@ impl ClientBatch {
                     w.put_bytes(msg);
                 }
                 ClientOp::Verify => w.put_u8(2),
-                ClientOp::Refresh => w.put_u8(3),
             }
         }
         w.into_bytes()
@@ -100,7 +92,6 @@ impl ClientBatch {
                     msg: r.get_bytes().ok()?,
                 }),
                 2 => ops.push(ClientOp::Verify),
-                3 => ops.push(ClientOp::Refresh),
                 _ => return None,
             }
         }
@@ -118,13 +109,11 @@ pub struct WorkloadConfig {
     pub rate_millis: u64,
     /// Relative weight of sign operations in the mix.
     pub sign_weight: u32,
-    /// Relative weight of verify operations in the mix.
+    /// Relative weight of verify operations in the mix. Only the ratios
+    /// matter: [`WorkloadConfig::with_mix`] scales the human-readable spec
+    /// by 1000, so `verify=0.01` next to `sign=8` becomes `10` next to
+    /// `8000`.
     pub verify_weight: u32,
-    /// Relative weight of preprocessing-refresh operations in the mix.
-    /// Only the ratios matter: [`WorkloadConfig::with_mix`] scales the
-    /// human-readable spec by 1000, so `refresh=0.01` next to `sign=8`
-    /// becomes `10` next to `8000`.
-    pub refresh_weight: u32,
     /// Length in bytes of generated sign messages (the round and op index
     /// are stamped in, so messages are unique regardless of length).
     pub msg_len: usize,
@@ -143,7 +132,6 @@ impl WorkloadConfig {
             rate_millis,
             sign_weight: 3,
             verify_weight: 1,
-            refresh_weight: 0,
             msg_len: 24,
             start_round: 0,
             stop_round: u64::MAX,
@@ -151,23 +139,22 @@ impl WorkloadConfig {
     }
 
     /// [`WorkloadConfig::with_rate`] with the op mix replaced by a spec of
-    /// the form `sign=8,verify=1,refresh=0.01` (keys optional, values are
+    /// the form `sign=8,verify=0.01` (keys optional, values are
     /// non-negative decimals, at least one must be positive). Weights are
     /// scaled by 1000 and rounded, so two fractional digits survive.
     pub fn with_mix(seed: u64, rate_millis: u64, spec: &str) -> Result<Self, String> {
-        let (sign, verify, refresh) = Self::parse_mix(spec)?;
+        let (sign, verify) = Self::parse_mix(spec)?;
         let mut cfg = Self::with_rate(seed, rate_millis);
         cfg.sign_weight = sign;
         cfg.verify_weight = verify;
-        cfg.refresh_weight = refresh;
         Ok(cfg)
     }
 
-    /// Parses a mix spec into `(sign, verify, refresh)` weights, each the
-    /// decimal value scaled by 1000. Unknown or repeated keys are errors;
-    /// omitted keys default to 0.
-    pub fn parse_mix(spec: &str) -> Result<(u32, u32, u32), String> {
-        let (mut sign, mut verify, mut refresh) = (None, None, None);
+    /// Parses a mix spec into `(sign, verify)` weights, each the decimal
+    /// value scaled by 1000. Unknown or repeated keys are errors; omitted
+    /// keys default to 0.
+    pub fn parse_mix(spec: &str) -> Result<(u32, u32), String> {
+        let (mut sign, mut verify) = (None, None);
         for part in spec.split(',').filter(|p| !p.trim().is_empty()) {
             let (key, value) = part
                 .split_once('=')
@@ -182,22 +169,17 @@ impl WorkloadConfig {
             let slot = match key.trim() {
                 "sign" => &mut sign,
                 "verify" => &mut verify,
-                "refresh" => &mut refresh,
                 other => return Err(format!("unknown mix op `{other}`")),
             };
             if slot.replace((value * 1000.0).round() as u32).is_some() {
                 return Err(format!("mix op `{}` given twice", key.trim()));
             }
         }
-        let (sign, verify, refresh) = (
-            sign.unwrap_or(0),
-            verify.unwrap_or(0),
-            refresh.unwrap_or(0),
-        );
-        if sign == 0 && verify == 0 && refresh == 0 {
+        let (sign, verify) = (sign.unwrap_or(0), verify.unwrap_or(0));
+        if sign == 0 && verify == 0 {
             return Err("mix has no positive weight (after ×1000 rounding)".into());
         }
-        Ok((sign, verify, refresh))
+        Ok((sign, verify))
     }
 }
 
@@ -222,7 +204,7 @@ impl Workload {
     pub fn new(cfg: WorkloadConfig, n: usize) -> Self {
         assert!(n > 0, "workload needs at least one node");
         assert!(
-            cfg.sign_weight as u64 + cfg.verify_weight as u64 + cfg.refresh_weight as u64 > 0,
+            cfg.sign_weight as u64 + cfg.verify_weight as u64 > 0,
             "degenerate op mix"
         );
         Workload { cfg, n }
@@ -255,14 +237,10 @@ impl Workload {
         }
         let mut rng = StdRng::seed_from_u64(mix(self.cfg.seed ^ mix(round.wrapping_add(1))));
         let count = self.arrivals(&mut rng);
-        let (s, v, r) = (
-            self.cfg.sign_weight as u64,
-            self.cfg.verify_weight as u64,
-            self.cfg.refresh_weight as u64,
-        );
+        let (s, v) = (self.cfg.sign_weight as u64, self.cfg.verify_weight as u64);
         (0..count)
             .map(|idx| {
-                let draw = rng.next_u32() as u64 % (s + v + r);
+                let draw = rng.next_u32() as u64 % (s + v);
                 if draw < s {
                     // Unique, reproducible message: round/op stamp + filler.
                     let mut msg = vec![0u8; self.cfg.msg_len.max(12)];
@@ -270,11 +248,9 @@ impl Workload {
                     msg[8..12].copy_from_slice(&(idx as u32).to_be_bytes());
                     rng.fill_bytes(&mut msg[12..]);
                     (None, ClientOp::Sign { msg })
-                } else if draw < s + v {
+                } else {
                     let node = NodeId(1 + (rng.next_u32() % self.n as u32));
                     (Some(node), ClientOp::Verify)
-                } else {
-                    (None, ClientOp::Refresh)
                 }
             })
             .collect()
@@ -475,51 +451,18 @@ mod tests {
     #[test]
     fn mix_spec_parses_fractions_and_rejects_junk() {
         assert_eq!(
-            WorkloadConfig::parse_mix("sign=8,verify=1,refresh=0.01"),
-            Ok((8000, 1000, 10))
+            WorkloadConfig::parse_mix("sign=8,verify=0.01"),
+            Ok((8000, 10))
         );
-        assert_eq!(WorkloadConfig::parse_mix("verify=2"), Ok((0, 2000, 0)));
+        assert_eq!(WorkloadConfig::parse_mix("verify=2"), Ok((0, 2000)));
         assert!(WorkloadConfig::parse_mix("sign=8,sign=1").is_err());
         assert!(WorkloadConfig::parse_mix("mint=8").is_err());
+        assert!(WorkloadConfig::parse_mix("refresh=1").is_err());
         assert!(WorkloadConfig::parse_mix("sign=-1").is_err());
         assert!(WorkloadConfig::parse_mix("sign").is_err());
-        assert!(WorkloadConfig::parse_mix("refresh=0.0001").is_err(), "rounds to all-zero");
-        let cfg = WorkloadConfig::with_mix(9, 2500, "sign=8,verify=1,refresh=0.01").expect("mix");
-        assert_eq!(
-            (cfg.sign_weight, cfg.verify_weight, cfg.refresh_weight),
-            (8000, 1000, 10)
-        );
-    }
-
-    #[test]
-    fn refresh_ops_broadcast_and_rare_mix_still_signs() {
-        // A refresh-only stream broadcasts every op to every node.
-        let mut cfg = WorkloadConfig::with_rate(11, 4000);
-        cfg.sign_weight = 0;
-        cfg.verify_weight = 0;
-        cfg.refresh_weight = 1;
-        let w = Workload::new(cfg, 3);
-        let mut seen = 0usize;
-        for round in 0..30 {
-            let per_node: Vec<_> = (1..=3u32).map(|i| w.input(NodeId(i), round)).collect();
-            for other in &per_node[1..] {
-                assert_eq!(per_node[0], *other, "refresh ops broadcast");
-            }
-            if let Some(bytes) = &per_node[0] {
-                let ops = ClientBatch::from_bytes(bytes).expect("batch").ops;
-                assert!(ops.iter().all(|op| *op == ClientOp::Refresh));
-                seen += ops.len();
-            }
-        }
-        assert!(seen > 0);
-
-        // A rare-refresh mix still carries sign traffic every few rounds —
-        // the fractional weight dilutes, it does not starve.
-        let rare = Workload::new(
-            WorkloadConfig::with_mix(42, 3000, "sign=8,verify=1,refresh=0.01").expect("mix"),
-            5,
-        );
-        assert!(rare.offered_signs(40) > 0);
+        assert!(WorkloadConfig::parse_mix("verify=0.0001").is_err(), "rounds to all-zero");
+        let cfg = WorkloadConfig::with_mix(9, 2500, "sign=8,verify=0.01").expect("mix");
+        assert_eq!((cfg.sign_weight, cfg.verify_weight), (8000, 10));
     }
 
     #[test]

@@ -83,11 +83,12 @@
 //! open-loop client workload (Poisson-like arrivals, 3:1 sign:verify) drives
 //! concurrent sign sessions, and the run reports completion, online/sustained
 //! signatures per second, and latency quantiles from telemetry. The PDS runs
-//! as `AlsConfig::new` configures it (nonce preprocessing and the batch-verify
-//! window on). `service` takes --n --t --units --seed --group, plus:
+//! as `AlsConfig::new` configures it (the batch-verify window on). Proactive
+//! refresh is scheduled, not a client op. `service` takes --n --t --units
+//! --seed --group, plus:
 //!   --rate <int>         mean offered ops per round, in milli-ops
 //!                        (default 2000 = 2 ops/round)
-//!   --mix <spec>         op mix, e.g. sign=8,verify=1,refresh=0.01
+//!   --mix <spec>         op mix, e.g. sign=8,verify=0.01
 //!                        (default sign=3,verify=1)
 //!
 //! Options:

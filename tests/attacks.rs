@@ -7,7 +7,9 @@
 //!   (Proposition 31), including under the certification-hijack attack the
 //!   introduction motivates;
 //! * replay resistance and injection tolerance (§5.1);
-//! * PARTIAL-AGREEMENT under certified equivocation (Lemma 16).
+//! * PARTIAL-AGREEMENT under certified equivocation (Lemma 16);
+//! * proactive refresh makes a break-in's read useless: signing nonces read
+//!   before a refresh never solve a later share.
 
 use proauth_adversary::{Hijacker, KeyThief, LimitObserver, Replayer};
 use proauth_core::authenticator::HeartbeatApp;
@@ -17,16 +19,21 @@ use proauth_core::uls::{uls_schedule, UlsConfig, UlsNode, SETUP_ROUNDS};
 use proauth_core::wire::{Blob, DisperseMsg, Inner, UlsWire};
 use proauth_crypto::group::{Group, GroupId};
 use proauth_crypto::schnorr::SigningKey;
-use proauth_crypto::shamir;
-use proauth_pds::als::AlsPds;
-use proauth_pds::msg::signing_payload;
+use proauth_crypto::{shamir, thresh};
+use proauth_pds::als::{AlsConfig, AlsPds};
+use proauth_pds::als_node::AlsProcess;
+use proauth_pds::msg::{signing_payload, AlsMsg, Sid};
 use proauth_primitives::bigint::BigUint;
 use proauth_primitives::wire::{Decode, Encode};
-use proauth_sim::adversary::{BreakPlan, NetView, UlAdversary};
-use proauth_sim::clock::TimeView;
+use proauth_sim::adversary::{AlAdversary, BreakPlan, NetView, UlAdversary};
+use proauth_sim::clock::{Schedule, TimeView};
 use proauth_sim::message::{Envelope, NodeId, OutputEvent};
-use proauth_sim::runner::{run_ul, SimConfig, SimResult};
+use proauth_sim::process::{Process, RoundCtx, SetupCtx};
+use proauth_sim::runner::{run_al_with_inputs, run_ul, SimConfig, SimResult};
+use proauth_sim::workload::{ClientBatch, ClientOp};
 use rand::SeedableRng;
+use std::collections::BTreeMap;
+use std::sync::{Arc, Mutex};
 
 const N: usize = 5;
 const T: usize = 2;
@@ -427,4 +434,180 @@ fn t_plus_one_breakins_in_one_unit_reconstruct_the_signing_key() {
     assert!(AlsPds::verify(&group, &pk, b"total forgery", 0, &sig));
 
     assert_ne!(key_from(&adv.shares[..T]).verify_key().element(), &pk);
+}
+
+/// Node 1's share at the end of each unit, logged by the node itself: the
+/// ground truth the adversary's solutions are held against. The adversary
+/// never sees it.
+type ShareLog = Arc<Mutex<BTreeMap<u64, BigUint>>>;
+
+struct LoggedAls {
+    inner: AlsProcess,
+    log: Option<ShareLog>,
+}
+
+impl Process for LoggedAls {
+    fn on_setup_round(&mut self, ctx: &mut SetupCtx<'_>) {
+        self.inner.on_setup_round(ctx);
+    }
+
+    fn on_round(&mut self, ctx: &mut RoundCtx<'_>) {
+        let unit = ctx.time.unit;
+        self.inner.on_round(ctx);
+        if let (Some(log), Some(key)) = (&self.log, self.inner.pds.key_share()) {
+            log.lock().unwrap().insert(unit, key.share.clone());
+        }
+    }
+
+    fn state_mut(&mut self) -> &mut dyn std::any::Any {
+        self.inner.state_mut()
+    }
+}
+
+/// Reads node 1 once, at `read_round`, taking every secret nonce it holds,
+/// and records the public sign traffic of the whole run.
+struct NonceReader {
+    read_round: u64,
+    nonces: Vec<BigUint>,
+    /// What each session signs: `(msg, unit)`, from its `SignInit`s.
+    requests: BTreeMap<Sid, (Vec<u8>, u64)>,
+    /// Nonce commitments per session and sender, from the `SignInit`s.
+    commitments: BTreeMap<Sid, BTreeMap<u32, BigUint>>,
+    /// Node 1's partials per `(session, attempt)`: `(unit sent, z)`.
+    partials: BTreeMap<(Sid, u32), (u64, BigUint)>,
+}
+
+impl AlAdversary for NonceReader {
+    fn plan(&mut self, view: &NetView<'_>) -> BreakPlan {
+        match view.time.round {
+            r if r == self.read_round => BreakPlan::break_into([NodeId(1)]),
+            r if r == self.read_round + 1 => BreakPlan::leave([NodeId(1)]),
+            _ => BreakPlan::none(),
+        }
+    }
+
+    fn corrupt(&mut self, _node: NodeId, state: &mut dyn std::any::Any, _time: &TimeView) {
+        let node = state.downcast_mut::<AlsProcess>().expect("ALS node");
+        self.nonces
+            .extend(node.pds.session_nonces().map(|nonce| nonce.k.clone()));
+    }
+
+    fn broken_sends(&mut self, honest_sent: &[Envelope], view: &NetView<'_>) -> Vec<Envelope> {
+        for env in honest_sent {
+            match AlsMsg::from_bytes(&env.payload) {
+                Ok(AlsMsg::SignInit { sid, msg, unit, nonce }) => {
+                    self.requests.insert(sid, (msg, unit));
+                    self.commitments.entry(sid).or_default().insert(env.from.0, nonce);
+                }
+                Ok(AlsMsg::SignPartial { sid, attempt, z }) if env.from == NodeId(1) => {
+                    self.partials.insert((sid, attempt), (view.time.unit, z));
+                }
+                _ => {}
+            }
+        }
+        Vec::new()
+    }
+}
+
+impl NonceReader {
+    /// Every share candidate `x = (z − k)·(e·λ₁)⁻¹` that node 1's unit-`unit`
+    /// partials give under the nonces read, from public data alone: the
+    /// attempt-0 signer set is the lowest `t + 1` inits, which fix `R`, `e`
+    /// and `λ₁`.
+    fn solve(&self, group: &Group, pk: &BigUint, unit: u64) -> Vec<Vec<BigUint>> {
+        self.partials
+            .iter()
+            .filter(|(_, (sent, _))| *sent == unit)
+            .map(|((sid, attempt), (_, z))| {
+                assert_eq!(*attempt, 0, "node 1 never retries in this run");
+                let inits = &self.commitments[sid];
+                let active: Vec<u32> = inits.keys().copied().take(T + 1).collect();
+                let commitments: Vec<BigUint> = active.iter().map(|i| inits[i].clone()).collect();
+                let (msg, msg_unit) = &self.requests[sid];
+                let r = thresh::combine_nonces(group, &commitments);
+                let e = thresh::challenge(group, &r, pk, &signing_payload(msg, *msg_unit));
+                let lambda = shamir::lagrange_coeff_at_zero(group, &active, 1);
+                let inv = group
+                    .scalar_inv(&group.scalar_mul(&e, &lambda))
+                    .expect("e·λ₁ is a unit");
+                self.nonces
+                    .iter()
+                    .map(|k| group.scalar_mul(&group.scalar_sub(z, k), &inv))
+                    .collect()
+            })
+            .collect()
+    }
+}
+
+/// Proactive refresh makes a break-in's read useless once the shares change.
+/// A nonce meets one share only: it is drawn when its sign session starts or
+/// retries, and the refresh drops every live session. The adversary reads
+/// node 1 once in unit 0, a round after it sent its partials for four
+/// sessions, so it holds their nonces. Those solve node 1's unit-0 share —
+/// the executability half, after Tamarin's `exists-trace` lemma, which shows
+/// the solver works and the check is not vacuous. No nonce read solves any
+/// partial node 1 sends in unit 1 for its unit-1 share.
+#[test]
+fn nonces_read_before_a_refresh_never_solve_the_next_share() {
+    let schedule = Schedule::new(20, 1, 8);
+    let mut c = SimConfig::new(N, T, schedule);
+    c.setup_rounds = 2;
+    c.total_rounds = schedule.unit_rounds * 2;
+    c.seed = 3;
+    let group = Group::new(GroupId::Toy64);
+    let log = ShareLog::default();
+    let batch = |tag: &str| {
+        ClientBatch {
+            ops: (0..4)
+                .map(|i| ClientOp::Sign {
+                    msg: format!("{tag}-{i}").into_bytes(),
+                })
+                .collect(),
+        }
+        .to_bytes()
+    };
+    let (unit0, unit1) = (batch("unit0"), batch("unit1"));
+    // Unit 1's normal phase starts after Part I and Part II.
+    let unit1_round = schedule.unit_rounds + schedule.refresh_rounds() + 1;
+    let mut adv = NonceReader {
+        read_round: 4,
+        nonces: Vec::new(),
+        requests: BTreeMap::new(),
+        commitments: BTreeMap::new(),
+        partials: BTreeMap::new(),
+    };
+    let result = run_al_with_inputs(
+        c,
+        |id| LoggedAls {
+            inner: AlsProcess::new(AlsPds::new(AlsConfig::new(group.clone(), N, T), id)),
+            log: (id == NodeId(1)).then(|| log.clone()),
+        },
+        &mut adv,
+        |_, round| match round {
+            2 => Some(unit0.clone()),
+            r if r == unit1_round => Some(unit1.clone()),
+            _ => None,
+        },
+    );
+    let pk = BigUint::from_bytes_be(result.roms[0].read("v_cert").expect("v_cert"));
+    let shares = log.lock().unwrap().clone();
+    assert_ne!(shares[&0], shares[&1], "the refresh changed node 1's share");
+    assert!(!adv.nonces.is_empty(), "the read found live sessions");
+
+    // Executability: within unit 0, every partial of a session read solves.
+    let solved0 = adv.solve(&group, &pk, 0);
+    assert_eq!(solved0.len(), 4, "node 1 signed all four unit-0 sessions");
+    for candidates in &solved0 {
+        assert!(candidates.contains(&shares[&0]), "a unit-0 partial resists its own nonce");
+    }
+
+    // Secrecy across the refresh: no nonce read solves a unit-1 partial.
+    let solved1 = adv.solve(&group, &pk, 1);
+    assert_eq!(solved1.len(), 4, "node 1 signed all four unit-1 sessions");
+    for candidates in &solved1 {
+        assert!(
+            !candidates.contains(&shares[&1]),
+            "a nonce read in unit 0 gave node 1's unit-1 share"
+        );
+    }
 }
